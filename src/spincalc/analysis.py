@@ -9,6 +9,7 @@ descriptor; traces record which rule produced each conclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .construct import (
     CP,
@@ -33,6 +34,7 @@ from .manifold import (
     KnownDegreeSet,
     ManifoldDescriptor,
     OddOrderIsometryGroup,
+    middle_torsion,
 )
 from .residues import minus_one_is_square_mod
 
@@ -77,8 +79,7 @@ def _linking_obstruction(m: ManifoldDescriptor) -> tuple[str, ...] | None:
     if m.dim % 4 != 3:
         return None
     k = (m.dim - 1) // 2
-    torsion = m.cohomology().group(k + 1).torsion()
-    q = torsion.is_cyclic_of_order()
+    q = middle_torsion(m).is_cyclic_of_order()
     if q is None:
         return None
     if minus_one_is_square_mod(q):
@@ -103,7 +104,7 @@ def _chirality_certificate(m: ManifoldDescriptor) -> tuple[str, ...] | None:
 
 def chirality_verdict(m: ManifoldDescriptor) -> ChiralityVerdict:
     cert = _chirality_certificate(m)
-    ds = degree_set(m)
+    ds = _degree_set(m, lambda: cert)
     if cert is not None and ds.contains_minus_one():
         raise ValueError(
             "contradictory analysis: a chirality certificate and a degree -1 "
@@ -125,7 +126,7 @@ def _blockers(m: ManifoldDescriptor) -> list[str]:
         out.append(f"dimension {m.dim} is not of the form 4k+3; torsion linking test inapplicable")
     else:
         k = (m.dim - 1) // 2
-        torsion = m.cohomology().group(k + 1).torsion()
+        torsion = middle_torsion(m)
         q = torsion.is_cyclic_of_order()
         if q is None:
             out.append(f"Tor H^{k + 1} = {torsion} is not cyclic of order >= 2")
@@ -199,6 +200,17 @@ def _is_sphere_product_sum(e: ConstructionExpr) -> bool:
 
 def degree_set(m: ManifoldDescriptor) -> DegreeSet:
     """Infer D(M) from the construction expression and recorded facts."""
+    return _degree_set(m, lambda: _chirality_certificate(m))
+
+
+def _degree_set(
+    m: ManifoldDescriptor, certificate: Callable[[], tuple[str, ...] | None]
+) -> DegreeSet:
+    """``degree_set`` with the chirality certificate supplied by the caller.
+
+    The certificate is asked for only when a rule needs it, which keeps
+    residue computations out of queries that never reach that rule.
+    """
     expr = m.expr
 
     # the spin of CP^n as a whole has degree set Z, even though no rule
@@ -235,7 +247,7 @@ def degree_set(m: ManifoldDescriptor) -> DegreeSet:
         upper = upper.intersect(SIGNED_UNIT)
         rules.append("positive-simplicial-volume")
 
-    if upper == SIGNED_UNIT and _chirality_certificate(m) is not None:
+    if upper == SIGNED_UNIT and certificate() is not None:
         upper = NONNEGATIVE_UNIT
         known.discard(-1)
         rules.append("chirality-removes-minus-one")

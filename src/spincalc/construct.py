@@ -170,8 +170,7 @@ def lens(p: int, dim: int) -> ManifoldDescriptor:
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"lens dimension must be odd and >= 3, got {dim}")
     groups: dict[int, AbGroup] = {0: Z, dim: Z}
-    for i in range(1, dim - 1, 2):
-        groups[i] = cyclic(p)
+    groups.update(dict.fromkeys(range(1, dim - 1, 2), cyclic(p)))
     homology = GradedGroup.from_dict(groups, dim)
     return make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p), 0)
 
@@ -273,14 +272,11 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
         raise ValueError(f"connected sum needs equal dimensions, got {a.dim} and {b.dim}")
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
-    n = a.dim
-    groups: dict[int, AbGroup] = {0: Z, n: Z}
-    for i in range(1, n):
-        groups[i] = a.homology.group(i).direct_sum(b.homology.group(i))
-    homology = GradedGroup.from_dict(groups, n)
+    # H_0 and H_n stay Z; in between the groups add degreewise
+    homology = a.homology.direct_sum(punctured_homology(b).reduced())
     pi1 = free_product(a.pi1, b.pi1)
     return make_descriptor(
-        CSum(a.expr, b.expr), n, homology, pi1,
+        CSum(a.expr, b.expr), a.dim, homology, pi1,
         homological_connectivity(homology, pi1),
     )
 

@@ -8,20 +8,25 @@ set, and whether the two coincide exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 
 def _integer_nth_root(x: int, n: int) -> int:
-    """Floor of the nonnegative n-th root."""
+    """Floor of the nonnegative n-th root, by integer Newton iteration.
+
+    The start 2^ceil(bits/n) lies above the root, and from above the
+    iterates decrease strictly until they reach the floor.
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x in (0, 1):
+    if x < 2:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,15 @@ class UpperBound:
         raise ValueError(f"unknown upper bound kind {self.kind!r}")
 
     def intersect(self, other: "UpperBound") -> "UpperBound":
-        """The tighter of the two bounds (bounds only ever shrink)."""
-        order = {"unknown": 0, "all": 1, "perfect_powers": 2, "signed_unit": 3, "nonnegative_unit": 4}
-        a, b = (self, other) if order[self.kind] >= order[other.kind] else (other, self)
-        # a is at least as tight; the pairs arising in practice are nested
-        return a
+        """The meet: the bound containing exactly the degrees both contain."""
+        a, b = sorted((self, other), key=lambda u: _TIGHTNESS[u.kind])
+        # b is at least as tight as a; only perfect powers can cut it further
+        if a.kind == "perfect_powers":
+            if b.kind == "perfect_powers":
+                return perfect_powers(lcm(a.exponent, b.exponent))
+            if b.kind == "signed_unit" and a.exponent % 2 == 0:
+                return NONNEGATIVE_UNIT  # -1 is no even power
+        return b
 
     def describe(self) -> str:
         if self.kind == "all":
@@ -67,6 +76,8 @@ class UpperBound:
         return "unknown"
 
 
+# kinds from loosest to tightest; "unknown" and "all" both admit every degree
+_TIGHTNESS = {"unknown": 0, "all": 1, "perfect_powers": 2, "signed_unit": 3, "nonnegative_unit": 4}
 ALL_INTEGERS = UpperBound("all")
 SIGNED_UNIT = UpperBound("signed_unit")
 NONNEGATIVE_UNIT = UpperBound("nonnegative_unit")

@@ -7,31 +7,34 @@ manifold).  Trivial entries are pruned so equality is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .abelian import AbGroup, TRIVIAL, Z, free
+from .abelian import AbGroup, TRIVIAL, Z
 
 
 @dataclass(frozen=True)
 class GradedGroup:
     top_degree: int
     entries: tuple[tuple[int, AbGroup], ...] = ()
+    # degree -> group index over ``entries``, for O(1) lookup in ``group``
+    _by_degree: dict[int, AbGroup] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.top_degree < 0:
             raise ValueError("top_degree must be nonnegative")
-        seen = set()
+        by_degree: dict[int, AbGroup] = {}
         for deg, g in self.entries:
             if deg < 0 or deg > self.top_degree:
                 raise ValueError(f"degree {deg} outside [0, {self.top_degree}]")
-            if deg in seen:
+            if deg in by_degree:
                 raise ValueError(f"duplicate degree {deg}")
             if g.is_trivial:
                 raise ValueError(f"trivial group stored at degree {deg}")
-            seen.add(deg)
+            by_degree[deg] = g
         degs = [d for d, _ in self.entries]
         if degs != sorted(degs):
             raise ValueError("entries must be sorted by degree")
+        object.__setattr__(self, "_by_degree", by_degree)
 
     @classmethod
     def from_dict(cls, groups: dict[int, AbGroup], top_degree: int) -> "GradedGroup":
@@ -45,10 +48,7 @@ class GradedGroup:
         return cls.from_dict(dict(enumerate(groups)), top)
 
     def group(self, degree: int) -> AbGroup:
-        for d, g in self.entries:
-            if d == degree:
-                return g
-        return TRIVIAL
+        return self._by_degree.get(degree, TRIVIAL)
 
     def degrees(self) -> list[int]:
         return [d for d, _ in self.entries]
@@ -82,11 +82,11 @@ class GradedGroup:
         return sum((-1) ** d * g.rank for d, g in self.entries)
 
     def direct_sum(self, other: "GradedGroup", top_degree: int | None = None) -> "GradedGroup":
-        """Degreewise direct sum."""
+        """Degreewise direct sum; only degrees present in both are combined."""
         top = top_degree if top_degree is not None else max(self.top_degree, other.top_degree)
         out: dict[int, AbGroup] = dict(self.entries)
         for d, g in other.entries:
-            out[d] = out.get(d, TRIVIAL).direct_sum(g)
+            out[d] = out[d].direct_sum(g) if d in out else g
         return GradedGroup.from_dict(out, top)
 
     # -- serialization ------------------------------------------------------
@@ -154,15 +154,26 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     return DualityReport(True)
 
 
+def _free_plus_shifted_torsion(g: GradedGroup, n: int, shift: int) -> GradedGroup:
+    """Degree i gets Z^rank(g_i) + Tor(g_{i-shift}), for 0 <= i <= n.
+
+    Only nonzero entries are visited.  A free rank beside the factors of
+    a single torsion group is already in invariant-factor form, so the
+    groups are built directly, without normalizing.
+    """
+    ranks = {d: e.rank for d, e in g.entries if e.rank and d <= n}
+    torsion = {
+        d + shift: e.factors for d, e in g.entries if e.factors and d <= n and 0 <= d + shift <= n
+    }
+    return GradedGroup.from_dict(
+        {d: AbGroup(ranks.get(d, 0), torsion.get(d, ())) for d in ranks.keys() | torsion.keys()},
+        n,
+    )
+
+
 def cohomology_from_homology(h: GradedGroup, n: int) -> GradedGroup:
     """Integral cohomology via H^i = Z^rank(H_i) + Tor(H_{i-1})."""
-    out: dict[int, AbGroup] = {}
-    for i in range(n + 1):
-        g = free(h.group(i).rank)
-        if i >= 1:
-            g = g.direct_sum(h.group(i - 1).torsion())
-        out[i] = g
-    return GradedGroup.from_dict(out, n)
+    return _free_plus_shifted_torsion(h, n, 1)
 
 
 def homology_from_cohomology(c: GradedGroup, n: int) -> GradedGroup:
@@ -174,10 +185,4 @@ def homology_from_cohomology(c: GradedGroup, n: int) -> GradedGroup:
     for i in (0, 1):
         if not c.group(i).torsion().is_trivial:
             raise ValueError(f"cohomology has torsion at degree {i}; no valid homology preimage")
-    out: dict[int, AbGroup] = {}
-    for i in range(n + 1):
-        g = free(c.group(i).rank)
-        if i + 1 <= n:
-            g = g.direct_sum(c.group(i + 1).torsion())
-        out[i] = g
-    return GradedGroup.from_dict(out, n)
+    return _free_plus_shifted_torsion(c, n, -1)

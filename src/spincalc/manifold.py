@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .abelian import Z
+from .abelian import AbGroup, Z
 from .degrees import DegreeSet
 from .graded import GradedGroup, check_poincare_duality, cohomology_from_homology
 
@@ -188,9 +188,7 @@ class ManifoldDescriptor:
 
     def is_rational_homology_sphere(self) -> bool:
         """All intermediate groups torsion (free ranks vanish for 0 < i < n)."""
-        return all(
-            self.homology.group(i).rank == 0 for i in range(1, self.dim)
-        )
+        return all(g.rank == 0 for d, g in self.homology.entries if 0 < d < self.dim)
 
     def to_json(self) -> dict:
         return {
@@ -262,6 +260,16 @@ def punctured_homology(m: ManifoldDescriptor) -> GradedGroup:
     )
 
 
+def middle_torsion(m: ManifoldDescriptor) -> AbGroup:
+    """Tor H^{k+1} of a (2k+1)-manifold, the group the torsion linking form lives on.
+
+    By universal coefficients it equals Tor H_k, which is read directly.
+    """
+    if m.dim % 2 == 0:
+        raise ValueError(f"middle torsion needs odd dimension, got {m.dim}")
+    return m.homology.group((m.dim - 1) // 2).torsion()
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -280,8 +288,7 @@ def validate_realizability(m: ManifoldDescriptor) -> list[Violation]:
     # which rules out a cyclic middle torsion group of order > 2
     if m.dim % 4 == 1 and m.dim >= 5:
         k = (m.dim - 1) // 2
-        torsion = m.cohomology().group(k + 1).torsion()
-        q = torsion.is_cyclic_of_order()
+        q = middle_torsion(m).is_cyclic_of_order()
         if q is not None and q > 2:
             out.append(Violation(
                 "middle-torsion-cyclic",

@@ -29,7 +29,7 @@ from spincalc.manifold import (
     Trivial,
 )
 
-from helpers import corpus, graded_as_orders, kunneth_orders
+from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
 
 
 class TestSphere:
@@ -178,6 +178,30 @@ class TestConnectedSum:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             connected_sum(sphere(3), sphere(4))
+
+    def test_groups_add_degreewise(self):
+        pairs = [
+            (dehn_rhs(3), dehn_rhs(3)),
+            (lens(7, 7), pipeline_main(1, 7)),
+            (bundle(1, 3), spin(4, dehn_rhs(5))),
+        ]
+        by_dim = {}
+        for _, m in corpus(31, 300, 4):
+            if m.dim >= 3:
+                by_dim.setdefault(m.dim, []).append(m)
+        for group in by_dim.values():
+            pairs += zip(group[::2], group[1::2])
+        assert len(pairs) > 50
+        for a, b in pairs:
+            s = connected_sum(a, b).homology
+            n = a.dim
+            assert s.group(0) == Z and s.group(n) == Z
+            for i in range(1, n):
+                ga, gb, gs = a.homology.group(i), b.homology.group(i), s.group(i)
+                assert gs.rank == ga.rank + gb.rank, (a.expr, b.expr, i)
+                assert same_finite_group(
+                    list(ga.factors) + list(gb.factors), list(gs.factors)
+                ), (a.expr, b.expr, i)
 
 
 class TestProduct:

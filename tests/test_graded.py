@@ -1,6 +1,7 @@
 import pytest
 
 from spincalc.abelian import Z, cyclic, free, TRIVIAL
+from spincalc.dsl import evaluate_text
 from spincalc.graded import (
     GradedGroup,
     check_poincare_duality,
@@ -112,8 +113,13 @@ class TestUniversalCoefficients:
         assert homology_from_cohomology(c, 7) == c
 
     def test_round_trip(self):
-        assert homology_from_cohomology(cohomology_from_homology(N7, 3), 3) == N7
-        assert homology_from_cohomology(cohomology_from_homology(DIM7, 7), 7) == DIM7
+        # the 1000-expression corpus gets the same check in acceptance criterion 6
+        cases = [(N7, 3), (DIM7, 7)]
+        for text in ("S(20000)", "L(7,301)", "csum(N(1000003),N(1000033))"):
+            m = evaluate_text(text)
+            cases.append((m.homology, m.dim))
+        for h, n in cases:
+            assert homology_from_cohomology(cohomology_from_homology(h, n), n) == h, n
 
     def test_rejects_low_degree_cohomology_torsion(self):
         c = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)
