@@ -19,23 +19,7 @@ factor magnitudes are limited only by memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, prod
-
-
-@lru_cache(maxsize=65536)
-def _prime_power_decomposition(n: int) -> dict[int, int]:
-    """Map each prime p dividing n to its exponent (trial division)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -157,24 +141,24 @@ def cyclic(n: int) -> AbGroup:
 def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGroup:
     """Invariant-factor normal form of Z^rank + sum of Z_order summands.
 
-    Orders equal to 1 contribute nothing.  Each order is split into prime
-    powers; per prime, the largest remaining power goes into the last
-    invariant factor, the next largest into the one before it, and so on,
-    which yields the unique divisibility chain.
+    Z_a + Z_b is isomorphic to Z_gcd(a, b) + Z_lcm(a, b), so no prime
+    factorization is needed.  Each order n is pushed through the current
+    chain from its smallest factor up, replacing (d, n) by
+    (gcd(d, n), lcm(d, n)) at each step; what is left is appended as the
+    new largest factor.  The chain stays a divisibility chain throughout,
+    with any 1s at its front, and those are dropped at the end.
+
+    >>> normalize([6, 10, 15])
+    AbGroup(rank=0, factors=(30, 30))
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
-    per_prime: dict[int, list[int]] = {}
+    chain: list[int] = []
     for n in cyclic_orders:
         if n <= 0:
             raise ValueError(f"cyclic order must be positive, got {n}")
-        for p, e in _prime_power_decomposition(n).items():
-            per_prime.setdefault(p, []).append(p**e)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    factors = [1] * width
-    for powers in per_prime.values():
-        powers.sort()
-        offset = width - len(powers)
-        for i, q in enumerate(powers):
-            factors[offset + i] *= q
-    return AbGroup(rank, tuple(factors))
+        for i, d in enumerate(chain):
+            g = gcd(d, n)
+            chain[i], n = g, d * n // g
+        chain.append(n)
+    return AbGroup(rank, tuple(d for d in chain if d > 1))

@@ -50,9 +50,6 @@ class GradedGroup:
     def group(self, degree: int) -> AbGroup:
         return self._by_degree.get(degree, TRIVIAL)
 
-    def degrees(self) -> list[int]:
-        return [d for d, _ in self.entries]
-
     def as_dict(self) -> dict[int, AbGroup]:
         return dict(self.entries)
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-# Above this, the exhaustive scan is replaced by factorization-based logic.
-SCAN_THRESHOLD = 100_000
+# Sorenson and Webster (2015): Miller-Rabin with the first 13 prime bases
+# is correct for every n below this bound, the least strong pseudoprime to
+# all of them.
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin, exact for n < MR_EXACT_BOUND.
+
+    At or above the bound, a witness still proves n composite and gives
+    False; passing every base only makes n a probable prime, so that
+    raises ValueError instead of returning True.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -29,6 +36,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(
+            f"primality of {n} is undecided: it is a probable prime, "
+            f"and Miller-Rabin is exact only below {MR_EXACT_BOUND}"
+        )
     return True
 
 
@@ -65,19 +77,15 @@ def minus_one_square_euler(q: int) -> bool:
 def minus_one_is_square_mod(q: int) -> bool:
     """Is -1 a quadratic residue mod q?
 
-    Odd primes go through the Euler criterion; other moduli below
-    SCAN_THRESHOLD through the exhaustive scan; large composites through
-    factorization (-1 is a square mod q iff 4 does not divide q and
-    every odd prime factor is 1 mod 4).
+    Odd primes go through the Euler criterion, every other modulus
+    through factorization: -1 is a square mod q iff 4 does not divide q
+    and every odd prime factor of q is 1 mod 4.  The exhaustive scan
+    stays as the test oracle for both rules.
     """
     if q <= 0:
         raise ValueError("modulus must be positive")
-    if q in (1, 2):
-        return True
     if q % 2 == 1 and is_prime(q):
         return minus_one_square_euler(q)
-    if q <= SCAN_THRESHOLD:
-        return minus_one_square_scan(q)
     if q % 4 == 0:
         return False
     return all(p == 2 or p % 4 == 1 for p in factorize(q))

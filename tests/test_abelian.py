@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, normalize
+from spincalc.dsl import evaluate_text
 
 from helpers import same_finite_group
 
 orders_lists = st.lists(st.integers(min_value=1, max_value=60), max_size=5)
+# 5040 = 2^4 * 3^2 * 5 * 7: its divisors mix prime powers and shared primes
+divisors_of_5040 = [d for d in range(1, 5041) if 5040 % d == 0]
+orders_of_5040 = st.lists(st.sampled_from(divisors_of_5040), max_size=12)
 small_groups = st.builds(
     lambda orders, rank: normalize(orders, rank),
     st.lists(st.integers(min_value=1, max_value=40), max_size=4),
@@ -34,10 +38,24 @@ class TestNormalize:
             normalize([2], rank=-1)
 
     @settings(deadline=None)
-    @given(orders_lists)
+    @given(st.one_of(orders_lists, orders_of_5040))
     def test_preserves_isomorphism_class(self, orders):
         g = normalize(orders)
         assert same_finite_group([n for n in orders if n > 1] or [1], list(g.factors) or [1])
+
+    @given(orders_of_5040, st.randoms(use_true_random=False))
+    def test_order_of_summands_is_irrelevant(self, orders, rnd):
+        shuffled = list(orders)
+        rnd.shuffle(shuffled)
+        assert normalize(shuffled) == normalize(orders)
+
+    def test_large_primes_need_no_factorization(self):
+        p, q = 100000000003, 100000000019
+        assert normalize([2 * p, 2 * q, 4 * p]) == AbGroup(0, (2, 2 * p, 4 * p * q))
+
+    def test_dehn_filling_on_a_19_digit_prime(self):
+        m = evaluate_text("N(1000000000000000003)")
+        assert m.homology.group(1) == cyclic(2000000000000000006)
 
     @given(small_groups)
     def test_idempotent(self, g):

@@ -21,6 +21,7 @@ from spincalc.construct import (
 from spincalc.dsl import evaluate_text
 from spincalc.manifold import ExternallyProvenStronglyChiral, Hyperbolic
 from spincalc.residues import (
+    MR_EXACT_BOUND,
     is_prime,
     minus_one_is_square_mod,
     minus_one_square_euler,
@@ -50,13 +51,26 @@ class TestResidues:
             minus_one_is_square_mod(0)
 
     def test_large_composite_path(self):
-        # above the scan threshold: 101 and 13 are both 1 mod 4
+        # composites go through factorization: 101 and 13 are both 1 mod 4
         assert minus_one_is_square_mod(101 * 101 * 13) is True
         assert minus_one_is_square_mod(101 * 103 * 13) is False
 
     def test_primality(self):
         assert is_prime(2) and is_prime(7919)
         assert not is_prime(1) and not is_prime(7917)
+
+    def test_strong_pseudoprime_to_twelve_bases(self):
+        # 399165290221 * 798330580441 passes bases 2..37; base 41 is a witness
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(318665857834031151167461)
+
+    def test_probable_prime_above_exact_bound_raises(self):
+        assert is_prime(MR_EXACT_BOUND - 168)  # the largest prime below the bound
+        for n in (MR_EXACT_BOUND, 2**89 - 1):
+            with pytest.raises(ValueError):
+                is_prime(n)
+        # a Miller-Rabin witness proves a composite at any size
+        assert not is_prime((2**89 - 1) * (2**61 - 1))
 
 
 class TestChirality:

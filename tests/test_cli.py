@@ -38,6 +38,19 @@ class TestEval:
         assert status == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            318665857834031151167461,  # strong pseudoprime to the 12 bases 2..37
+            2**89 - 1,  # prime, but above the exact Miller-Rabin bound
+        ],
+    )
+    def test_pseudoprimes_and_probable_primes_exit_code(self, capsys, p):
+        status, out, err = run(capsys, "eval", f"N({p})")
+        assert status == 2
+        assert out == ""
+        assert "prime" in err
+
     def test_batch_mode(self, capsys, monkeypatch):
         import io
 
