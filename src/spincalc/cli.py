@@ -11,7 +11,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification mismatch or violation, 2 parse or
 semantic error.  Passing ``-`` as the expression reads one expression
-per line from stdin (batch mode).
+per line from stdin (batch mode).  A line that fails there is reported
+on stderr as ``error: line <k>: <message>`` and the batch goes on; the
+exit code is the worst status of its lines.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import sys
 from itertools import permutations
+from typing import Callable
 
 from .abelian import Z, cyclic
 from .analysis import chirality_verdict, degree_set
@@ -37,10 +40,26 @@ from .manifold import HyperbolicThreeManifoldGroup, validate_realizability
 SCHEMA = "1"
 
 
-def _expressions(arg: str) -> list[str]:
-    if arg == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
-    return [arg]
+def _run_each(arg: str, handle: Callable[[str], int]) -> int:
+    """Run ``handle`` on the expression, or on each stdin line for ``-``.
+
+    In batch mode a line that fails to parse or evaluate is reported
+    with its stdin line number and the rest still run; the result is the
+    worst status.  A single expression's error goes up to ``main``.
+    """
+    if arg != "-":
+        return handle(arg)
+    status = 0
+    for k, line in enumerate(sys.stdin, 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            status = max(status, handle(text))
+        except (ParseError, ValueError) as exc:
+            print(f"error: line {k}: {exc}", file=sys.stderr)
+            status = 2
+    return status
 
 
 def _descriptor_report(m: ManifoldDescriptor, as_json: bool) -> str:
@@ -85,29 +104,35 @@ def _indent(text: str) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    for text in _expressions(args.expr):
+    def handle(text: str) -> int:
         print(_descriptor_report(evaluate_text(text), args.json))
-    return 0
+        return 0
+
+    return _run_each(args.expr, handle)
 
 
 def _cmd_chirality(args: argparse.Namespace) -> int:
-    for text in _expressions(args.expr):
+    def handle(text: str) -> int:
         verdict = chirality_verdict(evaluate_text(text))
         if args.json:
             print(json.dumps({"schema": SCHEMA, "expr": text, **verdict.to_json()}, indent=2))
         else:
             print(f"{text}: {verdict.describe()}")
-    return 0
+        return 0
+
+    return _run_each(args.expr, handle)
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    for text in _expressions(args.expr):
+    def handle(text: str) -> int:
         ds = degree_set(evaluate_text(text))
         if args.json:
             print(json.dumps({"schema": SCHEMA, "expr": text, **ds.to_json()}, indent=2))
         else:
             print(f"D({text}) = {ds.describe()}")
-    return 0
+        return 0
+
+    return _run_each(args.expr, handle)
 
 
 def _partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -181,17 +206,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    status = 0
-    for text in _expressions(args.expr):
+    def handle(text: str) -> int:
         violations = validate_realizability(evaluate_text(text))
-        if violations:
-            status = 1
-            print(f"{text}: {len(violations)} violation(s)")
-            for v in violations:
-                print(f"  - [{v.code}] {v.message}")
-        else:
+        if not violations:
             print(f"{text}: ok")
-    return status
+            return 0
+        print(f"{text}: {len(violations)} violation(s)")
+        for v in violations:
+            print(f"  - [{v.code}] {v.message}")
+        return 1
+
+    return _run_each(args.expr, handle)
 
 
 def _build_parser() -> argparse.ArgumentParser:

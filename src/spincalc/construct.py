@@ -8,7 +8,7 @@ degree-set rewrite rules later pattern-match on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import AbGroup, Z, cyclic, free
 from .degrees import ALL_INTEGERS, exact_set
@@ -252,7 +252,11 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
 
 
 def _spin_dim2(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
-    """Rewrite sigma_r of a genus-g surface as a sum of 2g sphere products."""
+    """Build sigma_r of a genus-g surface as a sum of 2g sphere products.
+
+    The result keeps ``Spin(r, m.expr)`` as its expression;
+    ``analysis._rewrite`` turns that into the sphere-product sum.
+    """
     if isinstance(m.expr, Surface):
         genus = m.expr.genus
     elif m.expr == Prod(Sphere(1), Sphere(1)):
@@ -264,7 +268,7 @@ def _spin_dim2(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     out = product(sphere(r + 1), sphere(1))
     for _ in range(2 * genus - 1):
         out = connected_sum(out, product(sphere(r + 1), sphere(1)))
-    return out
+    return replace(out, expr=Spin(r, m.expr))
 
 
 def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:

@@ -129,6 +129,18 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     Free ranks must match across i <-> n-i; torsion must match across
     i <-> n-i-1 (the torsion linking convention).  Degree 0 and n must
     both be Z.
+
+    Only the degrees d, n-d and n-d-1 of the nonzero entries d are
+    visited, in ascending order: at any other degree i the groups H_i,
+    H_{n-i} and H_{n-i-1} are all trivial, so the test cannot fail
+    there.  The first failing degree is the one a walk over 0..n finds.
+
+    >>> from .abelian import cyclic
+    >>> check_poincare_duality(GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3), 3)
+    DualityReport(ok=True, failing_degree=None, message='')
+    >>> report = check_poincare_duality(GradedGroup.from_dict({0: Z, 1: cyclic(3), 4: Z}, 4), 4)
+    >>> report.failing_degree, report.message
+    (1, 'torsion of H_1 is Z_3 but H_2 has 0')
     """
     if h.top_degree != n:
         return DualityReport(False, None, f"top degree {h.top_degree} != dimension {n}")
@@ -136,17 +148,17 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
         return DualityReport(
             False, 0, f"H_0 = {h.group(0)}, H_{n} = {h.group(n)}; both must be Z"
         )
-    for i in range(n + 1):
-        if h.group(i).rank != h.group(n - i).rank:
+    degrees = {i for d, _ in h.entries for i in (d, n - d, n - d - 1) if 0 <= i <= n}
+    for i in sorted(degrees):
+        g, dual = h.group(i), h.group(n - i)
+        if g.rank != dual.rank:
             return DualityReport(
-                False, i,
-                f"free rank of H_{i} is {h.group(i).rank} but H_{n - i} has {h.group(n - i).rank}",
+                False, i, f"free rank of H_{i} is {g.rank} but H_{n - i} has {dual.rank}"
             )
         j = n - i - 1
-        if 0 <= j <= n and h.group(i).torsion() != h.group(j).torsion():
+        if 0 <= j <= n and g.torsion() != h.group(j).torsion():
             return DualityReport(
-                False, i,
-                f"torsion of H_{i} is {h.group(i).torsion()} but H_{j} has {h.group(j).torsion()}",
+                False, i, f"torsion of H_{i} is {g.torsion()} but H_{j} has {h.group(j).torsion()}"
             )
     return DualityReport(True)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from math import gcd, lcm, prod
 
+from spincalc.abelian import Z
 from spincalc.construct import (
     CP,
     Bundle,
@@ -77,6 +78,31 @@ def kunneth_orders(
         _, tb = b.get(k - 1 - i, (0, []))
         orders += [gcd(m, n) for m in ta for n in tb]
     return rank, [n for n in orders if n > 1]
+
+
+def dense_duality_report(h, n: int) -> tuple[bool, int | None, str]:
+    """Poincare duality of a GradedGroup, as (ok, failing degree, message).
+
+    Walks every degree 0..n, so it checks the sparse walk of
+    ``graded.check_poincare_duality`` without sharing it.
+    """
+    if h.top_degree != n:
+        return False, None, f"top degree {h.top_degree} != dimension {n}"
+    if h.group(0) != Z or h.group(n) != Z:
+        return False, 0, f"H_0 = {h.group(0)}, H_{n} = {h.group(n)}; both must be Z"
+    for i in range(n + 1):
+        if h.group(i).rank != h.group(n - i).rank:
+            return (
+                False, i,
+                f"free rank of H_{i} is {h.group(i).rank} but H_{n - i} has {h.group(n - i).rank}",
+            )
+        j = n - i - 1
+        if 0 <= j <= n and h.group(i).torsion() != h.group(j).torsion():
+            return (
+                False, i,
+                f"torsion of H_{i} is {h.group(i).torsion()} but H_{j} has {h.group(j).torsion()}",
+            )
+    return True, None, ""
 
 
 def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:

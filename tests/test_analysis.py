@@ -150,6 +150,7 @@ class TestDegreeSets:
     def test_spin_of_surface(self):
         ds = degree_set(evaluate_text("spin(4, Sigma(2))"))
         assert ds.exact and ds.upper_bound.kind == "all"
+        assert ds.rules == ("sphere-product-sum",)
 
     def test_spin_distributes_over_csum_of_sphere_products(self):
         ds = degree_set(evaluate_text("spin(5, csum(prod(S(2),S(3)), prod(S(1),S(4))))"))

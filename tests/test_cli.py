@@ -1,8 +1,11 @@
+import io
 import json
 
 import pytest
 
+from spincalc import cli
 from spincalc.cli import main
+from spincalc.manifold import Violation
 
 
 def run(capsys, *argv):
@@ -52,12 +55,51 @@ class TestEval:
         assert "prime" in err
 
     def test_batch_mode(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("S(3)\n\nN(7)\n"))
         status, out, _ = run(capsys, "eval", "-")
         assert status == 0
         assert out.count("expression:") == 2
+
+    def test_a_bad_line_does_not_stop_the_batch(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("S(3)\nS(0)\nN(7)\n"))
+        status, out, err = run(capsys, "eval", "-")
+        assert status == 2
+        assert out.count("expression:") == 2
+        assert "expression:    N(7)" in out
+        assert err == "error: line 2: sphere dimension must be >= 1, got 0\n"
+
+    def test_single_expression_error_text(self, capsys):
+        status, out, err = run(capsys, "eval", "S(0)")
+        assert (status, out) == (2, "")
+        assert err == "error: sphere dimension must be >= 1, got 0\n"
+
+
+class TestBatch:
+    @pytest.mark.parametrize("command", ["eval", "chirality", "degrees", "validate"])
+    def test_errors_name_the_physical_line(self, capsys, monkeypatch, command):
+        # the blank line 2 is skipped but still counted
+        monkeypatch.setattr("sys.stdin", io.StringIO("N(7)\n\nspin(1,\nN(4)\nS(5)\n"))
+        status, out, err = run(capsys, command, "-")
+        assert status == 2
+        lines = err.splitlines()
+        assert [line.split(":")[:2] for line in lines] == [["error", " line 3"], ["error", " line 4"]]
+        assert "prime" in lines[1]
+        assert "N(7)" in out and "S(5)" in out
+
+    def test_exit_code_is_the_worst_status(self, capsys, monkeypatch):
+        # no expression of the language has a violation, so one is planted on S(4)
+        real = cli.validate_realizability
+        monkeypatch.setattr(
+            cli, "validate_realizability",
+            lambda m: [Violation("planted", "test")] if m.dim == 4 else real(m),
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO("S(4)\nN(7)\n"))
+        assert run(capsys, "validate", "-")[0] == 1
+        monkeypatch.setattr("sys.stdin", io.StringIO("S(4)\n)\nN(7)\n"))
+        status, out, err = run(capsys, "validate", "-")
+        assert status == 2
+        assert "S(4): 1 violation(s)" in out and "N(7): ok" in out
+        assert err.startswith("error: line 2: ")
 
 
 class TestChirality:

@@ -4,9 +4,10 @@ import pytest
 
 from spincalc.abelian import Z, cyclic, normalize
 from spincalc.construct import (
-    CSum,
     Prod,
     Sphere,
+    Spin,
+    Surface,
     bundle,
     connected_sum,
     cp,
@@ -21,6 +22,7 @@ from spincalc.construct import (
     spin,
     surface,
 )
+from spincalc.dsl import evaluate_text
 from spincalc.graded import GradedGroup, check_poincare_duality
 from spincalc.manifold import (
     FiniteCyclic,
@@ -144,7 +146,7 @@ class TestSpin:
         # homology of a connected sum of 4 copies of S^3 x S^1
         assert spun.homology.group(1).rank == 4
         assert spun.homology.group(3).rank == 4
-        assert isinstance(spun.expr, CSum)
+        assert spun.expr == Spin(2, Surface(2))
 
     def test_torus_rewrite(self):
         torus = product(sphere(1), sphere(1))
@@ -152,6 +154,16 @@ class TestSpin:
         expected = connected_sum(
             product(sphere(2), sphere(1)), product(sphere(2), sphere(1))
         )
+        assert spun.homology == expected.homology
+        assert spun.expr == Spin(1, Prod(Sphere(1), Sphere(1)))
+
+    def test_spin_of_surface_keeps_its_expression(self):
+        spun = evaluate_text("spin(1,Sigma(2))")
+        assert str(spun.expr) == "spin(1,Sigma(2))"
+        summand = product(sphere(2), sphere(1))
+        expected = summand
+        for _ in range(3):
+            expected = connected_sum(expected, summand)
         assert spun.homology == expected.homology
 
     def test_spin_of_cp_matches_product_form(self):

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spincalc.abelian import Z, cyclic, free, TRIVIAL
+from spincalc.abelian import Z, cyclic, free, normalize, TRIVIAL
+from spincalc.construct import cp, dehn_rhs, lens, sphere, spin
 from spincalc.dsl import evaluate_text
 from spincalc.graded import (
     GradedGroup,
@@ -8,6 +10,8 @@ from spincalc.graded import (
     cohomology_from_homology,
     homology_from_cohomology,
 )
+
+from helpers import dense_duality_report
 
 N7 = GradedGroup.from_list([Z, cyclic(14), TRIVIAL, Z])  # rational homology 3-sphere
 DIM7 = GradedGroup.from_dict(
@@ -72,6 +76,47 @@ class TestEulerCharacteristic:
         assert g.euler_characteristic() == 2
 
 
+small_groups = st.builds(
+    lambda rank, orders: normalize(orders, rank),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.sampled_from([2, 3, 4, 6, 9]), max_size=2),
+)
+
+
+@st.composite
+def graded_and_dimension(draw):
+    """A sparse graded group with top degree n <= 40, and the dimension to check it at.
+
+    Dual groups mirror ranks across d <-> n-d and torsion across
+    d <-> n-d-1; near-dual ones then overwrite one degree strictly
+    between 0 and n.  The last two shapes drop the fundamental class or
+    check at another dimension.
+    """
+    n = draw(st.integers(min_value=0, max_value=40))
+    shape = draw(st.sampled_from(["random", "dual", "near-dual", "missing-top", "wrong-top"]))
+    if shape == "random":
+        groups = draw(st.dictionaries(st.integers(0, n), small_groups, max_size=6))
+        if draw(st.booleans()):
+            groups[0] = groups[n] = Z
+        return GradedGroup.from_dict(groups, n), n
+    ranks, torsion = {0: 1, n: 1}, {}
+    if n >= 2:
+        for d in draw(st.lists(st.integers(1, n - 1), max_size=4)):
+            ranks[d] = ranks[n - d] = draw(st.integers(min_value=0, max_value=2))
+    if n >= 3:
+        for d in draw(st.lists(st.integers(1, n - 2), max_size=4)):
+            torsion[d] = torsion[n - 1 - d] = draw(st.lists(st.sampled_from([2, 3, 6]), max_size=2))
+    groups = {d: normalize(torsion.get(d, []), ranks.get(d, 0)) for d in ranks.keys() | torsion.keys()}
+    if shape == "near-dual" and n >= 2:
+        groups[draw(st.integers(1, n - 1))] = draw(small_groups)
+    if shape == "missing-top":
+        groups[n] = draw(small_groups.filter(lambda g: g != Z))
+    g = GradedGroup.from_dict(groups, n)
+    if shape == "wrong-top":
+        return g, draw(st.integers(0, 41).filter(lambda m: m != n))
+    return g, n
+
+
 class TestDuality:
     def test_dim7_model_passes(self):
         assert check_poincare_duality(DIM7, 7)
@@ -89,6 +134,39 @@ class TestDuality:
     def test_rejects_missing_fundamental_class(self):
         g = GradedGroup.from_dict({0: Z, 3: cyclic(2)}, 3)
         assert not check_poincare_duality(g, 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(graded_and_dimension())
+    def test_sparse_walk_matches_dense_reference(self, case):
+        g, n = case
+        report = check_poincare_duality(g, n)
+        assert (report.ok, report.failing_degree, report.message) == dense_duality_report(g, n)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sphere(10**6),
+            lambda: lens(7, 301),
+            lambda: cp(150),
+            lambda: spin(1200, dehn_rhs(7)),
+        ],
+        ids=["S(10^6)", "L(7,301)", "CP(150)", "spin(1200,N(7))"],
+    )
+    def test_lookups_grow_with_entries_not_dimension(self, build, monkeypatch):
+        m = build()
+        lookup = GradedGroup.group
+        calls = 0
+
+        def counting(self, degree):
+            nonlocal calls
+            calls += 1
+            return lookup(self, degree)
+
+        monkeypatch.setattr(GradedGroup, "group", counting)
+        assert check_poincare_duality(m.homology, m.dim)
+        # three candidate degrees per entry, three lookups per candidate,
+        # plus the H_0 and H_n check
+        assert calls <= 9 * len(m.homology.entries) + 2
 
 
 class TestUniversalCoefficients:
