@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 # Sorenson and Webster (2015): Miller-Rabin with the first 13 prime bases
 # is correct for every n below this bound, the least strong pseudoprime to
 # all of them.
 MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# factorize trial-divides below this bound, then leaves the rest to rho.
+_TRIAL_BOUND = 1000
+_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
+# Pollard-Brent iterations one factorize call may spend.  A prime factor
+# near 10^12 takes about 1-4 million; past the budget factorize raises
+# instead of running on.
+_RHO_STEPS = 1 << 23
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
@@ -45,19 +56,79 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division."""
+    """Prime factorization, with every factor certified.
+
+    Trial division by 2 and the odd numbers below ``_TRIAL_BOUND`` comes
+    first; it leaves no prime factor below the bound, so a cofactor below
+    the bound's square is prime.  Each larger
+    cofactor that ``is_prime`` rejects is split by Brent's variant of
+    Pollard rho (Brent 1980).  Raises ValueError when a cofactor is only a
+    probable prime (see ``is_prime``), or when splitting needs more than
+    ``_RHO_STEPS`` iterations in all.
+
+    >>> factorize(2 * 1000000000000000003)
+    {2: 1, 1000000000000000003: 1}
+    """
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    steps = _RHO_STEPS
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f, steps = _rho_divisor(m, steps)
+            pending += [f, m // f]
     return out
+
+
+def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n, and the steps left.
+
+    Brent's cycle search on x -> x^2 + c (mod n) from x = 2, for
+    c = 1, 2, ... until one gives a divisor.  Each block of the search
+    is charged its 2r iterations before it runs.  The differences are
+    multiplied in batches with one gcd each; a batch whose gcd reaches n
+    is replayed one difference at a time.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                raise ValueError(
+                    f"cannot factor {n}: no divisor found within "
+                    f"{_RHO_STEPS} Pollard-Brent steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                done += _RHO_BATCH
+            r *= 2
+        if g == n:
+            y, g = start, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+        if g != n:
+            return g, steps
 
 
 def minus_one_square_scan(q: int) -> bool:
@@ -77,15 +148,12 @@ def minus_one_square_euler(q: int) -> bool:
 def minus_one_is_square_mod(q: int) -> bool:
     """Is -1 a quadratic residue mod q?
 
-    Odd primes go through the Euler criterion, every other modulus
-    through factorization: -1 is a square mod q iff 4 does not divide q
-    and every odd prime factor of q is 1 mod 4.  The exhaustive scan
-    stays as the test oracle for both rules.
+    It is iff 4 does not divide q and every odd prime factor of q is
+    1 mod 4.  The exhaustive scan and the Euler criterion stay as the
+    test oracles of this rule.
     """
     if q <= 0:
         raise ValueError("modulus must be positive")
-    if q % 2 == 1 and is_prime(q):
-        return minus_one_square_euler(q)
     if q % 4 == 0:
         return False
     return all(p == 2 or p % 4 == 1 for p in factorize(q))

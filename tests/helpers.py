@@ -105,6 +105,24 @@ def dense_duality_report(h, n: int) -> tuple[bool, int | None, str]:
     return True, None, ""
 
 
+def trial_division_factorization(n: int) -> dict[int, int]:
+    """Prime factorization by trial division up to the square root.
+
+    The reference for ``residues.factorize``: it shares none of its
+    trial bound, primality test or Pollard rho.
+    """
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:
     return {
         d: (g.rank, list(g.factors)) for d, g in descriptor.homology.entries

@@ -1,4 +1,7 @@
+from math import isqrt, prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spincalc.analysis import (
     ADMITS_DEGREE_MINUS_ONE,
@@ -22,11 +25,14 @@ from spincalc.dsl import evaluate_text
 from spincalc.manifold import ExternallyProvenStronglyChiral, Hyperbolic
 from spincalc.residues import (
     MR_EXACT_BOUND,
+    factorize,
     is_prime,
     minus_one_is_square_mod,
     minus_one_square_euler,
     minus_one_square_scan,
 )
+
+from helpers import trial_division_factorization
 
 
 class TestResidues:
@@ -50,6 +56,11 @@ class TestResidues:
         with pytest.raises(ValueError):
             minus_one_is_square_mod(0)
 
+    def test_odd_primes_follow_euler(self):
+        big = (1000003, 1000000000039, 1000000000000000003, MR_EXACT_BOUND - 168)
+        for q in [q for q in range(3, 2000, 2) if is_prime(q)] + list(big):
+            assert minus_one_is_square_mod(q) == minus_one_square_euler(q), q
+
     def test_large_composite_path(self):
         # composites go through factorization: 101 and 13 are both 1 mod 4
         assert minus_one_is_square_mod(101 * 101 * 13) is True
@@ -71,6 +82,58 @@ class TestResidues:
                 is_prime(n)
         # a Miller-Rabin witness proves a composite at any size
         assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _primes(lo: int, hi: int, max_size: int):
+    return st.lists(st.integers(lo, hi).map(_next_prime), max_size=max_size)
+
+
+# Products of primes below and above the trial bound 1000, up to 10^12,
+# with repeats; at most one prime above 10^9 keeps each rho search short.
+_prime_multisets = st.builds(
+    lambda small, medium, large, huge, square: small + medium + large + huge + square * 2,
+    _primes(2, 999, 6),
+    _primes(1000, 10**6, 3),
+    _primes(10**6, 10**9, 2),
+    _primes(10**9, 10**12, 1),
+    _primes(1000, 10**6, 1),
+)
+
+
+class TestFactorize:
+    @settings(max_examples=150, deadline=None)
+    @given(_prime_multisets)
+    def test_products_of_primes(self, primes):
+        n = prod(primes)
+        factors = factorize(n)
+        assert prod(p**e for p, e in factors.items()) == n
+        assert all(is_prime(p) for p in factors)
+        ordered = sorted([1, 1] + primes)
+        # trial division runs to about max(second largest prime, sqrt(largest))
+        if max(ordered[-2], isqrt(ordered[-1])) < 10**5:
+            assert factors == trial_division_factorization(n)
+
+    def test_nineteen_digit_prime_cofactor(self):
+        assert factorize(2 * 1000000000000000003) == {2: 1, 1000000000000000003: 1}
+
+    def test_smallest_prime_factor_near_10_to_12(self):
+        p, q = 1000000000039, 3000000000013
+        assert factorize(2 * p * q) == {2: 1, p: 1, q: 1}
+
+    def test_probable_prime_cofactor_raises(self):
+        with pytest.raises(ValueError, match="probable prime"):
+            minus_one_is_square_mod(2 * (2**89 - 1))
+
+    def test_step_budget_ends_the_search(self):
+        p, q = 100000000000000000039, 300000000000000000053  # primes near 10^20
+        with pytest.raises(ValueError, match=f"cannot factor {p * q}: "):
+            factorize(2 * p * q)
 
 
 class TestChirality:

@@ -1,9 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
 
-from spincalc import cli
+from spincalc import cli, graded
 from spincalc.cli import main
 from spincalc.manifold import Violation
 
@@ -53,6 +54,38 @@ class TestEval:
         assert status == 2
         assert out == ""
         assert "prime" in err
+
+    def test_nineteen_digit_dehn_filling_is_strongly_chiral(self, capsys):
+        # chirality asks whether -1 is a square mod 2p, so 2p must be factored
+        status, out, _ = run(capsys, "chirality", "N(1000000000000000003)")
+        assert status == 0
+        assert "proven strongly chiral" in out
+
+    def test_unfactorable_torsion_exit_code(self, capsys):
+        p, q = 100000000000000000039, 300000000000000000053  # primes near 10^20
+        status, out, err = run(capsys, "chirality", f"E(0,{p * q})")
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot factor {p * q}: ")
+        assert err.count("\n") == 1
+
+    def test_duality_is_checked_once_per_line(self, capsys, monkeypatch):
+        original = graded.check_poincare_duality
+        calls = []
+
+        def counting(h, n):
+            calls.append(n)
+            return original(h, n)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("spincalc") and vars(module).get(
+                "check_poincare_duality"
+            ) is original:
+                monkeypatch.setattr(module, "check_poincare_duality", counting)
+        monkeypatch.setattr("sys.stdin", io.StringIO("S(3)\nN(7)\n"))
+        status, out, _ = run(capsys, "eval", "-")
+        assert status == 0
+        assert out.count("duality check: ok") == 2
+        assert calls == [3, 3]
 
     def test_batch_mode(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("S(3)\n\nN(7)\n"))
