@@ -8,7 +8,7 @@ degree-set rewrite rules later pattern-match on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .abelian import AbGroup, Z, cyclic, free
 from .degrees import ALL_INTEGERS, exact_set
@@ -25,7 +25,6 @@ from .manifold import (
     Trivial,
     direct_product,
     free_product,
-    homological_connectivity,
     make_descriptor,
     punctured_homology,
 )
@@ -142,7 +141,6 @@ def sphere(n: int) -> ManifoldDescriptor:
         pi1 = Trivial()
     return make_descriptor(
         Sphere(n), n, homology, pi1,
-        homological_connectivity(homology, pi1),
         frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))}),
     )
 
@@ -152,15 +150,14 @@ def cp(n: int) -> ManifoldDescriptor:
     if n < 1:
         raise ValueError(f"CP index must be >= 1, got {n}")
     homology = GradedGroup.from_dict({2 * i: Z for i in range(n + 1)}, 2 * n)
-    pi1 = Trivial()
-    return make_descriptor(CP(n), 2 * n, homology, pi1, homological_connectivity(homology, pi1))
+    return make_descriptor(CP(n), 2 * n, homology, Trivial())
 
 
 def surface(genus: int) -> ManifoldDescriptor:
     if genus < 2:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
     homology = GradedGroup.from_dict({0: Z, 1: free(2 * genus), 2: Z}, 2)
-    return make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus), 0)
+    return make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus))
 
 
 def lens(p: int, dim: int) -> ManifoldDescriptor:
@@ -172,7 +169,7 @@ def lens(p: int, dim: int) -> ManifoldDescriptor:
     groups: dict[int, AbGroup] = {0: Z, dim: Z}
     groups.update(dict.fromkeys(range(1, dim - 1, 2), cyclic(p)))
     homology = GradedGroup.from_dict(groups, dim)
-    return make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p), 0)
+    return make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p))
 
 
 def dehn_rhs(p: int) -> ManifoldDescriptor:
@@ -187,7 +184,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     homology = GradedGroup.from_dict({0: Z, 1: cyclic(2 * p), 3: Z}, 3)
     return make_descriptor(
         DehnRHS(p), 3, homology,
-        HyperbolicThreeManifoldGroup(next(_generator_ids)), 0,
+        HyperbolicThreeManifoldGroup(next(_generator_ids)),
         frozenset({Hyperbolic(), OddOrderIsometryGroup()}),
     )
 
@@ -197,7 +194,7 @@ def ihs3() -> ManifoldDescriptor:
     homology = GradedGroup.from_dict({0: Z, 3: Z}, 3)
     return make_descriptor(
         IHS3(), 3, homology,
-        HyperbolicThreeManifoldGroup(next(_generator_ids)), 0,
+        HyperbolicThreeManifoldGroup(next(_generator_ids)),
         frozenset({Hyperbolic()}),
     )
 
@@ -218,9 +215,7 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     )
     homology = homology_from_cohomology(cohomology, dim)
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
-    return make_descriptor(
-        Bundle(m, d), dim, homology, pi1, homological_connectivity(homology, pi1)
-    )
+    return make_descriptor(Bundle(m, d), dim, homology, pi1)
 
 
 # -- combinators -----------------------------------------------------------------
@@ -230,45 +225,32 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     """The r-spin: boundary of (M minus an open disk) x D^{r+1}.
 
     Homology is punctured homology plus the r-shifted reduced homology;
-    pi_1 is preserved in dimension >= 3.  Dimension-2 inputs with
-    nontrivial pi_1 are handled by the explicit surface rewrite into a
-    connected sum of S^{r+1} x S^1 summands (the generic pi_1 rule fails
-    there).
+    pi_1 is preserved in dimension >= 3.  A surface of genus g follows
+    the same homology rule, but its spin is the connected sum of 2g
+    copies of S^{r+1} x S^1 (``analysis._rewrite``), so pi_1 becomes the
+    free group of rank 2g.
     """
     if r < 1:
         raise ValueError(f"spin radius must be >= 1, got {r}")
     if m.dim < 2:
         raise ValueError(f"cannot spin a manifold of dimension {m.dim}")
-    if m.dim == 2 and not isinstance(m.pi1, Trivial):
-        return _spin_dim2(r, m)
+    pi1 = m.pi1
+    if m.dim == 2 and not isinstance(pi1, Trivial):
+        pi1 = free_product(*[FreeAbelian(1)] * (2 * _surface_genus(m)))
     new_dim = m.dim + r
     homology = punctured_homology(m).with_top(new_dim).direct_sum(
         m.homology.reduced().shift(r, new_dim)
     )
-    return make_descriptor(
-        Spin(r, m.expr), new_dim, homology, m.pi1,
-        homological_connectivity(homology, m.pi1),
-    )
+    return make_descriptor(Spin(r, m.expr), new_dim, homology, pi1)
 
 
-def _spin_dim2(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
-    """Build sigma_r of a genus-g surface as a sum of 2g sphere products.
-
-    The result keeps ``Spin(r, m.expr)`` as its expression;
-    ``analysis._rewrite`` turns that into the sphere-product sum.
-    """
+def _surface_genus(m: ManifoldDescriptor) -> int:
+    """Genus of a 2-manifold with nontrivial pi_1: Sigma(g) or the torus."""
     if isinstance(m.expr, Surface):
-        genus = m.expr.genus
-    elif m.expr == Prod(Sphere(1), Sphere(1)):
-        genus = 1
-    else:
-        raise ValueError(
-            f"spin of a 2-manifold is only defined for surfaces, got {m.expr}"
-        )
-    out = product(sphere(r + 1), sphere(1))
-    for _ in range(2 * genus - 1):
-        out = connected_sum(out, product(sphere(r + 1), sphere(1)))
-    return replace(out, expr=Spin(r, m.expr))
+        return m.expr.genus
+    if m.expr == Prod(Sphere(1), Sphere(1)):
+        return 1
+    raise ValueError(f"spin of a 2-manifold is only defined for surfaces, got {m.expr}")
 
 
 def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
@@ -278,10 +260,8 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
     # H_0 and H_n stay Z; in between the groups add degreewise
     homology = a.homology.direct_sum(punctured_homology(b).reduced())
-    pi1 = free_product(a.pi1, b.pi1)
     return make_descriptor(
-        CSum(a.expr, b.expr), a.dim, homology, pi1,
-        homological_connectivity(homology, pi1),
+        CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1)
     )
 
 
@@ -297,11 +277,7 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
             g = g.direct_sum(a.homology.group(i).tor(b.homology.group(k - 1 - i)))
         groups[k] = g
     homology = GradedGroup.from_dict(groups, n)
-    pi1 = direct_product(a.pi1, b.pi1)
-    return make_descriptor(
-        Prod(a.expr, b.expr), n, homology, pi1,
-        homological_connectivity(homology, pi1),
-    )
+    return make_descriptor(Prod(a.expr, b.expr), n, homology, direct_product(a.pi1, b.pi1))
 
 
 def iterated_spin(radii: list[int], m: ManifoldDescriptor) -> ManifoldDescriptor:

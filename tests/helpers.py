@@ -25,6 +25,7 @@ from spincalc.construct import (
     Surface,
 )
 from spincalc.dsl import evaluate
+from spincalc.manifold import Trivial
 
 
 # -- brute-force isomorphism of finite abelian groups -------------------------
@@ -103,6 +104,21 @@ def dense_duality_report(h, n: int) -> tuple[bool, int | None, str]:
                 f"torsion of H_{i} is {h.group(i).torsion()} but H_{j} has {h.group(j).torsion()}",
             )
     return True, None, ""
+
+
+def dense_connectivity(m) -> int:
+    """Connectivity of a descriptor by walking every degree 1..dim.
+
+    Trivial reduced homology up to degree c gives c-connected only for a
+    simply connected manifold (Hurewicz), so any other pi_1 gives 0.
+    Checks ``ManifoldDescriptor.connectivity`` without sharing its walk.
+    """
+    if not isinstance(m.pi1, Trivial):
+        return 0
+    c = 0
+    while c < m.dim and m.homology.group(c + 1).is_trivial:
+        c += 1
+    return c
 
 
 def trial_division_factorization(n: int) -> dict[int, int]:

@@ -147,6 +147,12 @@ class TestSpin:
         assert spun.homology.group(1).rank == 4
         assert spun.homology.group(3).rank == 4
         assert spun.expr == Spin(2, Surface(2))
+        summand = product(sphere(3), sphere(1))
+        expected = summand
+        for _ in range(3):
+            expected = connected_sum(expected, summand)
+        assert spun.homology == expected.homology
+        assert spun.pi1 == expected.pi1
 
     def test_torus_rewrite(self):
         torus = product(sphere(1), sphere(1))
@@ -155,16 +161,19 @@ class TestSpin:
             product(sphere(2), sphere(1)), product(sphere(2), sphere(1))
         )
         assert spun.homology == expected.homology
+        assert spun.pi1 == expected.pi1
         assert spun.expr == Spin(1, Prod(Sphere(1), Sphere(1)))
 
     def test_spin_of_surface_keeps_its_expression(self):
-        spun = evaluate_text("spin(1,Sigma(2))")
-        assert str(spun.expr) == "spin(1,Sigma(2))"
         summand = product(sphere(2), sphere(1))
-        expected = summand
-        for _ in range(3):
-            expected = connected_sum(expected, summand)
-        assert spun.homology == expected.homology
+        for genus in (2, 300):
+            spun = evaluate_text(f"spin(1,Sigma({genus}))")
+            assert str(spun.expr) == f"spin(1,Sigma({genus}))"
+            expected = summand
+            for _ in range(2 * genus - 1):
+                expected = connected_sum(expected, summand)
+            assert spun.homology == expected.homology
+            assert spun.pi1 == expected.pi1
 
     def test_spin_of_cp_matches_product_form(self):
         for n, r in [(2, 1), (3, 2)]:
@@ -222,12 +231,24 @@ class TestProduct:
         assert m.homology.as_dict() == {0: Z, 2: Z, 3: Z, 5: Z}
 
     def test_against_brute_force_expansion(self):
-        a, b = dehn_rhs(7), bundle(1, 7)
-        m = product(a, b)
-        oa, ob = graded_as_orders(a), graded_as_orders(b)
-        for k in range(m.dim + 1):
-            rank, orders = kunneth_orders(oa, ob, k)
-            assert m.homology.group(k) == normalize(orders, rank), f"degree {k}"
+        rng = random.Random(5)
+        pairs = [
+            (dehn_rhs(7), bundle(1, 7)),
+            (sphere(400), sphere(400)),
+            (lens(5, 7), cp(3)),
+        ]
+        for _ in range(25):
+            (_, a), = corpus(rng.randint(0, 10**6), 1, 3)
+            (_, b), = corpus(rng.randint(0, 10**6), 1, 3)
+            pairs.append((a, b))
+        for a, b in pairs:
+            m = product(a, b)
+            oa, ob = graded_as_orders(a), graded_as_orders(b)
+            for k in range(m.dim + 1):
+                rank, orders = kunneth_orders(oa, ob, k)
+                g = m.homology.group(k)
+                assert g.rank == rank, (a.expr, b.expr, k)
+                assert same_finite_group(orders, list(g.factors)), (a.expr, b.expr, k)
 
     def test_euler_characteristic_multiplies(self):
         rng = random.Random(7)

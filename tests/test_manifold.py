@@ -1,7 +1,7 @@
 import pytest
 
-from spincalc.abelian import Z, cyclic
-from spincalc.construct import bundle, dehn_rhs, ihs3, sphere, spin
+from spincalc.abelian import Z, cyclic, free
+from spincalc.construct import bundle, cp, dehn_rhs, ihs3, sphere, spin
 from spincalc.graded import GradedGroup
 from spincalc.manifold import (
     DirectProduct,
@@ -17,6 +17,8 @@ from spincalc.manifold import (
     punctured_homology,
     validate_realizability,
 )
+
+from helpers import corpus, dense_connectivity
 
 
 class TestPi1Tags:
@@ -40,17 +42,37 @@ class TestDescriptorInvariants:
     def test_rejects_duality_failure(self):
         h = GradedGroup.from_dict({0: Z, 1: cyclic(3), 4: Z}, 4)
         with pytest.raises(InvalidDescriptor):
-            make_descriptor("test", 4, h, UnknownGroup(), 0)
+            make_descriptor("test", 4, h, UnknownGroup())
+
+    def test_rejects_wrong_top_degree(self):
+        h = GradedGroup.from_dict({0: Z, 3: Z}, 4)
+        with pytest.raises(InvalidDescriptor, match="^duality fails: top degree 4 != dimension 3"):
+            make_descriptor("test", 3, h, UnknownGroup())
+
+    def test_rejects_non_connected_h0(self):
+        h = GradedGroup.from_dict({0: free(2), 3: Z}, 3)
+        with pytest.raises(InvalidDescriptor, match="^duality fails: H_0 = Z\\^2"):
+            make_descriptor("test", 3, h, UnknownGroup())
 
     def test_rejects_trivial_pi1_with_h1(self):
         h = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)
         with pytest.raises(InvalidDescriptor):
-            make_descriptor("test", 3, h, Trivial(), 0)
+            make_descriptor("test", 3, h, Trivial())
 
-    def test_rejects_inconsistent_connectivity(self):
+    def test_connectivity_is_derived(self):
         h = GradedGroup.from_dict({0: Z, 3: cyclic(3), 7: Z}, 7)
-        with pytest.raises(InvalidDescriptor):
-            make_descriptor("test", 7, h, Trivial(), 3)
+        assert make_descriptor("test", 7, h, Trivial()).connectivity == 2
+        assert make_descriptor("test", 7, h, UnknownGroup()).connectivity == 0
+        for n in (2, 3, 7, 400):
+            assert sphere(n).connectivity == n - 1
+        for n in (1, 2, 5):
+            assert cp(n).connectivity == 1
+        for r in (1, 4):
+            assert spin(r, bundle(1, 7)).connectivity == 2
+
+    def test_connectivity_matches_dense_walk(self):
+        for _, m in corpus(2024, 1000):
+            assert m.connectivity == dense_connectivity(m), m.expr
 
     def test_bundle_connectivity_matches_index(self):
         for m in range(1, 5):
@@ -85,13 +107,13 @@ class TestRealizability:
     def test_antisymmetric_middle_torsion_flagged(self):
         # dimension 5 with cohomology torsion Z_3 at degree 3
         h = GradedGroup.from_dict({0: Z, 2: cyclic(3), 5: Z}, 5)
-        m = make_descriptor("test", 5, h, UnknownGroup(), 0)
+        m = make_descriptor("test", 5, h, UnknownGroup())
         codes = [v.code for v in validate_realizability(m)]
         assert codes == ["middle-torsion-cyclic"]
 
     def test_hyperbolic_even_dim_rational_homology_sphere(self):
         h = GradedGroup.from_dict({0: Z, 6: Z}, 6)
-        m = make_descriptor("test", 6, h, UnknownGroup(), 0).with_fact(Hyperbolic())
+        m = make_descriptor("test", 6, h, UnknownGroup()).with_fact(Hyperbolic())
         codes = {v.code for v in validate_realizability(m)}
         assert codes == {"euler-sign", "hyperbolic-qhs-dim-4k+2"}
 
