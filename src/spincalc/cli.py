@@ -38,6 +38,8 @@ from .graded import GradedGroup
 from .manifold import HyperbolicThreeManifoldGroup, validate_realizability
 
 SCHEMA = "1"
+# the rows of table1: partitions of 4 with at least two parts, most parts first
+_TABLE1_RADII = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2))
 
 
 def _run_each(arg: str, handle: Callable[[str], int]) -> int:
@@ -134,26 +136,10 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
     return _run_each(args.expr, handle)
 
 
-def _partitions_of(n: int) -> list[tuple[int, ...]]:
-    """Descending partitions with at least two parts, largest-first rows last."""
-
-    def rec(total: int, max_part: int):
-        if total == 0:
-            yield ()
-            return
-        for k in range(min(total, max_part), 0, -1):
-            for rest in rec(total - k, k):
-                yield (k,) + rest
-
-    parts = [p for p in rec(n, n) if len(p) >= 2]
-    parts.sort(key=lambda p: (-len(p), tuple(-x for x in p)))
-    return parts
-
-
 def _cmd_table1(args: argparse.Namespace) -> int:
     p = args.p
     rows = []
-    for radii in _partitions_of(4):
+    for radii in _TABLE1_RADII:
         base = dehn_rhs(p)
         spun = iterated_spin(list(radii), base)
         # order independence: every permutation must give identical homology

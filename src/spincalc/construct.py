@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .abelian import AbGroup, Z, cyclic, free
 from .degrees import ALL_INTEGERS, exact_set
@@ -35,90 +36,84 @@ from .residues import is_prime
 
 
 class ConstructionExpr:
-    """AST node; leaves are generators, internal nodes combinators."""
+    """AST node; leaves are generators, internal nodes combinators.
+
+    Each node class names itself in the construction language with
+    ``name``; ``str`` prints that name and then the fields in order.
+    """
+
+    name: ClassVar[str]
+    __match_args__: ClassVar[tuple[str, ...]]  # the dataclass fields, in order
+
+    def __str__(self) -> str:
+        args = ""
+        for field in self.__match_args__:
+            args += f",{getattr(self, field)}"
+        return f"{self.name}({args[1:]})" if args else self.name
 
 
 @dataclass(frozen=True)
 class Sphere(ConstructionExpr):
+    name = "S"
     n: int
-
-    def __str__(self) -> str:
-        return f"S({self.n})"
 
 
 @dataclass(frozen=True)
 class CP(ConstructionExpr):
+    name = "CP"
     n: int
-
-    def __str__(self) -> str:
-        return f"CP({self.n})"
 
 
 @dataclass(frozen=True)
 class Surface(ConstructionExpr):
+    name = "Sigma"
     genus: int
-
-    def __str__(self) -> str:
-        return f"Sigma({self.genus})"
 
 
 @dataclass(frozen=True)
 class Lens(ConstructionExpr):
+    name = "L"
     p: int
     dim: int
-
-    def __str__(self) -> str:
-        return f"L({self.p},{self.dim})"
 
 
 @dataclass(frozen=True)
 class DehnRHS(ConstructionExpr):
+    name = "N"
     p: int
-
-    def __str__(self) -> str:
-        return f"N({self.p})"
 
 
 @dataclass(frozen=True)
 class IHS3(ConstructionExpr):
-    def __str__(self) -> str:
-        return "IHS3"
+    name = "IHS3"
 
 
 @dataclass(frozen=True)
 class Bundle(ConstructionExpr):
+    name = "E"
     m: int
     d: int
-
-    def __str__(self) -> str:
-        return f"E({self.m},{self.d})"
 
 
 @dataclass(frozen=True)
 class Spin(ConstructionExpr):
+    name = "spin"
     r: int
     child: ConstructionExpr
-
-    def __str__(self) -> str:
-        return f"spin({self.r},{self.child})"
 
 
 @dataclass(frozen=True)
 class CSum(ConstructionExpr):
+    name = "csum"
     left: ConstructionExpr
     right: ConstructionExpr
-
-    def __str__(self) -> str:
-        return f"csum({self.left},{self.right})"
 
 
 @dataclass(frozen=True)
 class Prod(ConstructionExpr):
+    name = "prod"
     left: ConstructionExpr
     right: ConstructionExpr
-
-    def __str__(self) -> str:
-        return f"prod({self.left},{self.right})"
 
 
 # Fresh ids for hyperbolic generators: each call models a different
@@ -141,7 +136,7 @@ def sphere(n: int) -> ManifoldDescriptor:
         pi1 = Trivial()
     return make_descriptor(
         Sphere(n), n, homology, pi1,
-        frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))}),
+        facts=frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))}),
     )
 
 
@@ -185,7 +180,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     return make_descriptor(
         DehnRHS(p), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        frozenset({Hyperbolic(), OddOrderIsometryGroup()}),
+        facts=frozenset({Hyperbolic(), OddOrderIsometryGroup()}),
     )
 
 
@@ -195,7 +190,7 @@ def ihs3() -> ManifoldDescriptor:
     return make_descriptor(
         IHS3(), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        frozenset({Hyperbolic()}),
+        facts=frozenset({Hyperbolic()}),
     )
 
 

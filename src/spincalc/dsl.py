@@ -9,29 +9,47 @@ Grammar (whitespace insensitive, one expression per input):
           | "csum" "(" expr "," expr ")"
           | "prod" "(" expr "," expr ")"
 
-Printing an AST with ``str`` round-trips through :func:`parse`.
+Node kinds are declared in one place, :data:`KINDS`: a row per AST
+class with the kinds of its fields and its construction in
+:mod:`construct`.  The parser, the unknown-name message and
+:func:`evaluate` read that table; the DSL name is the class's ``name``,
+which ``str`` prints, so printing an AST round-trips through :func:`parse`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import construct
-from .construct import (
-    CP,
-    Bundle,
-    CSum,
-    ConstructionExpr,
-    DehnRHS,
-    IHS3,
-    Lens,
-    ManifoldDescriptor,
-    Prod,
-    Sphere,
-    Spin,
-    Surface,
+from .construct import ConstructionExpr, ManifoldDescriptor
+
+NAT, INT, EXPR = "nat", "int", "expr"
+
+
+class Kind(NamedTuple):
+    node: type[ConstructionExpr]
+    fields: tuple[str, ...]  # NAT, INT or EXPR per dataclass field, in order
+    # the construction in ``construct``, looked up by name at each call so
+    # that a rebound module attribute (a tracing wrapper) is the one called
+    build: str
+
+
+KINDS = (
+    Kind(construct.Sphere, (NAT,), "sphere"),
+    Kind(construct.CP, (NAT,), "cp"),
+    Kind(construct.Surface, (NAT,), "surface"),
+    Kind(construct.Lens, (NAT, NAT), "lens"),
+    Kind(construct.DehnRHS, (NAT,), "dehn_rhs"),
+    Kind(construct.IHS3, (), "ihs3"),
+    Kind(construct.Bundle, (NAT, INT), "bundle"),
+    Kind(construct.Spin, (NAT, EXPR), "spin"),
+    Kind(construct.CSum, (EXPR, EXPR), "connected_sum"),
+    Kind(construct.Prod, (EXPR, EXPR), "product"),
 )
+_BY_NAME = {kind.node.name: kind for kind in KINDS}
+_BY_NODE = {kind.node: kind for kind in KINDS}
 
 
 class ParseError(ValueError):
@@ -49,30 +67,28 @@ class _Token:
     column: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?\d+|[(),]|\S")
+_TOKEN_RE = re.compile(
+    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<punct>[(),])|(?P<newline>\n)|(?P<other>\S)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-
-    def position(offset: int) -> tuple[int, int]:
-        line = max(i for i, start in enumerate(line_starts) if start <= offset)
-        return line + 1, offset - line_starts[line] + 1
-
+    line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
-        tok = match.group()
-        line, col = position(match.start())
-        if tok in "(),":
-            tokens.append(_Token(tok, tok, line, col))
-        elif re.fullmatch(r"-?\d+", tok):
-            tokens.append(_Token("int", tok, line, col))
-        elif tok[0].isalpha():
-            tokens.append(_Token("name", tok, line, col))
-        else:
-            raise ParseError(f"unexpected character {tok!r}", line, col)
-    end_line, end_col = position(len(text)) if text else (1, 1)
-    tokens.append(_Token("end", "", end_line, end_col))
+        kind, tok, column = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+            continue
+        if kind == "punct":
+            kind = tok
+        elif kind == "other":
+            # any other single letter (``str.isalpha``) is a name
+            if not tok.isalpha():
+                raise ParseError(f"unexpected character {tok!r}", line, column)
+            kind = "name"
+        tokens.append(_Token(kind, tok, line, column))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -107,46 +123,22 @@ class _Parser:
 
     def parse_expr(self) -> ConstructionExpr:
         tok = self.expect("name", "a generator or combinator name")
-        head = tok.text
-        if head == "IHS3":
-            return IHS3()
+        kind = _BY_NAME.get(tok.text)
+        if kind is not None and not kind.fields:
+            return kind.node()
         self.expect("(")
-        node: ConstructionExpr
-        if head == "S":
-            node = Sphere(self.parse_int(nonnegative=True))
-        elif head == "CP":
-            node = CP(self.parse_int(nonnegative=True))
-        elif head == "Sigma":
-            node = Surface(self.parse_int(nonnegative=True))
-        elif head == "L":
-            p = self.parse_int(nonnegative=True)
-            self.expect(",")
-            node = Lens(p, self.parse_int(nonnegative=True))
-        elif head == "N":
-            node = DehnRHS(self.parse_int(nonnegative=True))
-        elif head == "E":
-            m = self.parse_int(nonnegative=True)
-            self.expect(",")
-            node = Bundle(m, self.parse_int())
-        elif head == "spin":
-            r = self.parse_int(nonnegative=True)
-            self.expect(",")
-            node = Spin(r, self.parse_expr())
-        elif head == "csum":
-            left = self.parse_expr()
-            self.expect(",")
-            node = CSum(left, self.parse_expr())
-        elif head == "prod":
-            left = self.parse_expr()
-            self.expect(",")
-            node = Prod(left, self.parse_expr())
-        else:
+        if kind is None:
             raise ParseError(
-                f"unknown name {head!r}; expected one of S, CP, Sigma, L, N, IHS3, E, spin, csum, prod",
+                f"unknown name {tok.text!r}; expected one of {', '.join(_BY_NAME)}",
                 tok.line, tok.column,
             )
+        args: list = []
+        for field in kind.fields:
+            if args:
+                self.expect(",")
+            args.append(self.parse_expr() if field == EXPR else self.parse_int(field == NAT))
         self.expect(")")
-        return node
+        return kind.node(*args)
 
 
 def parse(text: str) -> ConstructionExpr:
@@ -162,27 +154,14 @@ def parse(text: str) -> ConstructionExpr:
 
 def evaluate(ast: ConstructionExpr) -> ManifoldDescriptor:
     """Dispatch an AST into the construction calculus."""
-    if isinstance(ast, Sphere):
-        return construct.sphere(ast.n)
-    if isinstance(ast, CP):
-        return construct.cp(ast.n)
-    if isinstance(ast, Surface):
-        return construct.surface(ast.genus)
-    if isinstance(ast, Lens):
-        return construct.lens(ast.p, ast.dim)
-    if isinstance(ast, DehnRHS):
-        return construct.dehn_rhs(ast.p)
-    if isinstance(ast, IHS3):
-        return construct.ihs3()
-    if isinstance(ast, Bundle):
-        return construct.bundle(ast.m, ast.d)
-    if isinstance(ast, Spin):
-        return construct.spin(ast.r, evaluate(ast.child))
-    if isinstance(ast, CSum):
-        return construct.connected_sum(evaluate(ast.left), evaluate(ast.right))
-    if isinstance(ast, Prod):
-        return construct.product(evaluate(ast.left), evaluate(ast.right))
-    raise TypeError(f"not a construction expression: {ast!r}")
+    kind = _BY_NODE.get(type(ast))
+    if kind is None:
+        raise TypeError(f"not a construction expression: {ast!r}")
+    args = []
+    for name, field in zip(ast.__match_args__, kind.fields):
+        value = getattr(ast, name)
+        args.append(evaluate(value) if field == EXPR else value)
+    return getattr(construct, kind.build)(*args)
 
 
 def evaluate_text(text: str) -> ManifoldDescriptor:

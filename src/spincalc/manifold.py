@@ -206,6 +206,7 @@ def make_descriptor(
     dim: int,
     homology: GradedGroup,
     pi1: Pi1Tag,
+    *,
     facts: frozenset[AxiomFact] = frozenset(),
 ) -> ManifoldDescriptor:
     """Validated construction: closed connected oriented invariants enforced.

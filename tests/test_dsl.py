@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import spincalc
+from spincalc import construct
 from spincalc.construct import (
     CP,
     Bundle,
     CSum,
+    ConstructionExpr,
     DehnRHS,
     IHS3,
     Lens,
@@ -13,7 +21,7 @@ from spincalc.construct import (
     Spin,
     Surface,
 )
-from spincalc.dsl import ParseError, evaluate, evaluate_text, parse
+from spincalc.dsl import KINDS, ParseError, evaluate, evaluate_text, parse
 
 leaves = st.one_of(
     st.builds(Sphere, st.integers(0, 20)),
@@ -75,9 +83,66 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("spin(1, S(3)")
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("", 1, 1, "expected 'a generator or combinator name', found 'end of input'"),
+            ("\n", 2, 1, "expected 'a generator or combinator name', found 'end of input'"),
+            ("foo", 1, 4, "expected '(', found 'end of input'"),
+            ("IHS3(", 1, 5, "unexpected trailing input '('"),
+            ("foo(1)", 1, 1,
+             "unknown name 'foo'; expected one of S, CP, Sigma, L, N, IHS3, E, spin, csum, prod"),
+            ("S(-1)", 1, 3, "expected a nonnegative integer, found -1"),
+            ("spin(1,\n  ?)", 2, 3, "unexpected character '?'"),
+            ("csum(S(3),\n\n  S(4)", 3, 7, "expected ')', found 'end of input'"),
+            ("S(3)\r\n)", 2, 1, "unexpected trailing input ')'"),
+            ("-x", 1, 1, "unexpected character '-'"),
+            ("S(--1)", 1, 3, "unexpected character '-'"),
+            ("L(3 5)", 1, 5, "expected ',', found '5'"),
+            ("\u00e9", 1, 2, "expected '(', found 'end of input'"),  # a lone letter is a name
+        ],
+    )
+    def test_malformed_input(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"{line}:{column}: {message}"
+
     @given(exprs)
     def test_round_trip(self, ast):
         assert parse(str(ast)) == ast
+
+
+class TestNodeTable:
+    def test_one_row_per_node_class(self):
+        nodes = [kind.node for kind in KINDS]
+        for cls in ConstructionExpr.__subclasses__():
+            assert nodes.count(cls) == 1, cls
+        assert len(nodes) == len(ConstructionExpr.__subclasses__())
+
+    def test_rows_match_their_classes(self):
+        for kind in KINDS:
+            assert len(kind.fields) == len(kind.node.__match_args__)
+            assert callable(getattr(construct, kind.build))
+            assert "__str__" not in vars(kind.node)
+
+
+def run_batch(command: str, text: str) -> subprocess.CompletedProcess:
+    src = Path(spincalc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "spincalc.cli", command, "-"],
+        input=text, capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, depth", [("eval", 300), ("chirality", 900), ("degrees", 900), ("validate", 900)]
+)
+def test_deep_spin_chain_is_answered(command, depth):
+    """Parsing, printing and evaluating cost one Python frame per nesting level."""
+    result = run_batch(command, "spin(1," * depth + "S(3)" + ")" * depth + "\n")
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 class TestEvaluate:

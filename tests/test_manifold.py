@@ -59,6 +59,13 @@ class TestDescriptorInvariants:
         with pytest.raises(InvalidDescriptor):
             make_descriptor("test", 3, h, Trivial())
 
+    def test_facts_is_keyword_only(self):
+        h = GradedGroup.from_dict({0: Z, 3: Z}, 3)
+        with pytest.raises(TypeError):
+            make_descriptor("test", 3, h, UnknownGroup(), frozenset({Hyperbolic()}))
+        m = make_descriptor("test", 3, h, UnknownGroup(), facts=frozenset({Hyperbolic()}))
+        assert m.has_fact(Hyperbolic)
+
     def test_connectivity_is_derived(self):
         h = GradedGroup.from_dict({0: Z, 3: cyclic(3), 7: Z}, 7)
         assert make_descriptor("test", 7, h, Trivial()).connectivity == 2
