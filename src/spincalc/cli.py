@@ -45,9 +45,9 @@ _TABLE1_RADII = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2))
 def _run_each(arg: str, handle: Callable[[str], int]) -> int:
     """Run ``handle`` on the expression, or on each stdin line for ``-``.
 
-    In batch mode a line that fails to parse or evaluate is reported
-    with its stdin line number and the rest still run; the result is the
-    worst status.  A single expression's error goes up to ``main``.
+    In batch mode a line that fails to parse or evaluate, or nests too
+    deeply, is reported with its stdin line number and the rest still
+    run; the result is the worst status.  A single expression's error goes up to ``main``.
     """
     if arg != "-":
         return handle(arg)
@@ -58,8 +58,9 @@ def _run_each(arg: str, handle: Callable[[str], int]) -> int:
             continue
         try:
             status = max(status, handle(text))
-        except (ParseError, ValueError) as exc:
-            print(f"error: line {k}: {exc}", file=sys.stderr)
+        except (ParseError, ValueError, RecursionError) as exc:
+            message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
+            print(f"error: line {k}: {message}", file=sys.stderr)
             status = 2
     return status
 

@@ -233,9 +233,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if m.dim == 2 and not isinstance(pi1, Trivial):
         pi1 = free_product(*[FreeAbelian(1)] * (2 * _surface_genus(m)))
     new_dim = m.dim + r
-    homology = punctured_homology(m).with_top(new_dim).direct_sum(
-        m.homology.reduced().shift(r, new_dim)
-    )
+    homology = punctured_homology(m).direct_sum(m.homology.reduced().shift(r, new_dim))
     return make_descriptor(Spin(r, m.expr), new_dim, homology, pi1)
 
 
@@ -261,16 +259,25 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
 
 
 def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
-    """Cartesian product; homology by the integral Kunneth formula."""
+    """Cartesian product; homology by the integral Kunneth formula.
+
+    Only pairs of nonzero entries A = H_i(a), B = H_j(b) contribute: A (x) B
+    in degree i+j and Tor(A, B) in i+j+1, one tensor and one Tor per pair.
+
+    >>> print(product(lens(3, 3), lens(3, 3)).homology)
+    Z, for i = 0, 6
+    Z_3^2, for i = 1, 4
+    Z_3, for i = 2
+    Z^2 + Z_3, for i = 3
+    0, otherwise
+    """
     n = a.dim + b.dim
     groups: dict[int, AbGroup] = {}
-    for k in range(n + 1):
-        g = AbGroup(0)
-        for i in range(k + 1):
-            g = g.direct_sum(a.homology.group(i).tensor(b.homology.group(k - i)))
-        for i in range(k):
-            g = g.direct_sum(a.homology.group(i).tor(b.homology.group(k - 1 - i)))
-        groups[k] = g
+    for i, g in a.homology.entries:
+        for j, h in b.homology.entries:
+            for k, term in ((i + j, g.tensor(h)), (i + j + 1, g.tor(h))):
+                if not term.is_trivial:
+                    groups[k] = groups[k].direct_sum(term) if k in groups else term
     homology = GradedGroup.from_dict(groups, n)
     return make_descriptor(Prod(a.expr, b.expr), n, homology, direct_product(a.pi1, b.pi1))
 

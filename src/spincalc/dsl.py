@@ -100,11 +100,6 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -112,7 +107,8 @@ class _Parser:
             raise ParseError(
                 f"expected {what or kind!r}, found {shown!r}", tok.line, tok.column
             )
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def parse_int(self, nonnegative: bool = False) -> int:
         tok = self.expect("int", "an integer")

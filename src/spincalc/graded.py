@@ -42,10 +42,9 @@ class GradedGroup:
         return cls(top_degree, items)
 
     @classmethod
-    def from_list(cls, groups: list[AbGroup], top_degree: int | None = None) -> "GradedGroup":
-        """Build from a dense list indexed by degree."""
-        top = top_degree if top_degree is not None else max(len(groups) - 1, 0)
-        return cls.from_dict(dict(enumerate(groups)), top)
+    def from_list(cls, groups: list[AbGroup]) -> "GradedGroup":
+        """Build from a dense list indexed by degree; the top is the last index."""
+        return cls.from_dict(dict(enumerate(groups)), max(len(groups) - 1, 0))
 
     def group(self, degree: int) -> AbGroup:
         return self._by_degree.get(degree, TRIVIAL)
@@ -71,20 +70,16 @@ class GradedGroup:
             )
         return GradedGroup(new_top, tuple((d + r, g) for d, g in self.entries))
 
-    def with_top(self, new_top: int) -> "GradedGroup":
-        return GradedGroup.from_dict(self.as_dict(), new_top)
-
     def euler_characteristic(self) -> int:
         """Alternating sum of free ranks; torsion contributes nothing."""
         return sum((-1) ** d * g.rank for d, g in self.entries)
 
-    def direct_sum(self, other: "GradedGroup", top_degree: int | None = None) -> "GradedGroup":
-        """Degreewise direct sum; only degrees present in both are combined."""
-        top = top_degree if top_degree is not None else max(self.top_degree, other.top_degree)
+    def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
+        """Degreewise direct sum up to the larger top; shared degrees are combined."""
         out: dict[int, AbGroup] = dict(self.entries)
         for d, g in other.entries:
             out[d] = out[d].direct_sum(g) if d in out else g
-        return GradedGroup.from_dict(out, top)
+        return GradedGroup.from_dict(out, max(self.top_degree, other.top_degree))
 
     # -- serialization ------------------------------------------------------
 

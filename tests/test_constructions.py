@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spincalc.abelian import Z, cyclic, normalize
+from spincalc.abelian import AbGroup, Z, cyclic, normalize
 from spincalc.construct import (
     Prod,
     Sphere,
@@ -236,6 +236,7 @@ class TestProduct:
             (dehn_rhs(7), bundle(1, 7)),
             (sphere(400), sphere(400)),
             (lens(5, 7), cp(3)),
+            (lens(4, 5), lens(6, 7)),
         ]
         for _ in range(25):
             (_, a), = corpus(rng.randint(0, 10**6), 1, 3)
@@ -249,6 +250,20 @@ class TestProduct:
                 g = m.homology.group(k)
                 assert g.rank == rank, (a.expr, b.expr, k)
                 assert same_finite_group(orders, list(g.factors)), (a.expr, b.expr, k)
+
+    @pytest.mark.parametrize("make, n", [(sphere, 400), (cp, 150)])
+    def test_one_tensor_and_one_tor_per_pair_of_nonzero_entries(self, monkeypatch, make, n):
+        m = make(n)
+        calls = 0
+        for name in ("tensor", "tor"):
+            def counted(self, other, real=getattr(AbGroup, name)):
+                nonlocal calls
+                calls += 1
+                return real(self, other)
+
+            monkeypatch.setattr(AbGroup, name, counted)
+        product(m, m)
+        assert calls <= 2 * len(m.homology.entries) ** 2
 
     def test_euler_characteristic_multiplies(self):
         rng = random.Random(7)

@@ -145,6 +145,15 @@ def test_deep_spin_chain_is_answered(command, depth):
     assert (result.returncode, result.stderr) == (0, "")
 
 
+def test_too_deep_line_is_reported_and_the_batch_goes_on():
+    deep = "spin(1," * 1500 + "S(3)" + ")" * 1500
+    result = run_batch("eval", f"S(3)\n{deep}\nN(7)\n")
+    assert result.stdout.count("expression:") == 2
+    assert "expression:    N(7)" in result.stdout
+    assert result.stderr == "error: line 2: expression nested too deeply\n"
+    assert result.returncode == 2
+
+
 class TestEvaluate:
     def test_dehn_descriptor(self):
         m = evaluate_text("N(7)")
