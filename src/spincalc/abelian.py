@@ -80,20 +80,13 @@ class AbGroup:
         return normalize(list(self.factors) + list(other.factors), self.rank + other.rank)
 
     def tensor(self, other: "AbGroup") -> "AbGroup":
-        """Tensor product over Z, expanded bilinearly over the summands.
-
-        Z tensor G = G and Z_m tensor Z_n = Z_gcd(m, n).
-        """
-        orders = (
-            list(other.factors) * self.rank
-            + list(self.factors) * other.rank
-            + [gcd(m, n) for m in self.factors for n in other.factors]
-        )
-        return normalize(orders, self.rank * other.rank)
+        """Tensor product over Z; see :func:`kunneth_terms`."""
+        rank, orders, _ = kunneth_terms(self, other)
+        return normalize(orders, rank)
 
     def tor(self, other: "AbGroup") -> "AbGroup":
-        """Torsion product Tor(-, -): free summands vanish, Tor(Z_m, Z_n) = Z_gcd."""
-        return normalize([gcd(m, n) for m in self.factors for n in other.factors])
+        """Torsion product Tor(-, -); see :func:`kunneth_terms`."""
+        return normalize(kunneth_terms(self, other)[2])
 
     # -- serialization ------------------------------------------------------
 
@@ -142,23 +135,53 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
     """Invariant-factor normal form of Z^rank + sum of Z_order summands.
 
     Z_a + Z_b is isomorphic to Z_gcd(a, b) + Z_lcm(a, b), so no prime
-    factorization is needed.  Each order n is pushed through the current
-    chain from its smallest factor up, replacing (d, n) by
-    (gcd(d, n), lcm(d, n)) at each step; what is left is appended as the
-    new largest factor.  The chain stays a divisibility chain throughout,
-    with any 1s at its front, and those are dropped at the end.
+    factorization is needed.  The orders are inserted in ascending order
+    into a divisibility chain d_1 | ... | d_k.  Each insertion walks the
+    chain from its largest factor down, replacing (d, n) by
+    (lcm(d, n), gcd(d, n)) and carrying the gcd on; it stops as soon as
+    the next smaller factor divides the carry, or the carry is 1, and
+    puts the carry there.  For each prime this merges the carry's
+    exponent into the sorted exponents of the chain.
+
+    An insertion costs one gcd per factor it passes, and sorted input
+    mostly stops at once: orders that already form a divisibility chain,
+    in any input order, cost no gcd at all.
 
     >>> normalize([6, 10, 15])
     AbGroup(rank=0, factors=(30, 30))
+    >>> normalize([10, 5, 5, 10])
+    AbGroup(rank=0, factors=(5, 5, 10, 10))
     """
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
+    orders = sorted(cyclic_orders)
+    if orders and orders[0] <= 0:
+        bad = next(n for n in cyclic_orders if n <= 0)
+        raise ValueError(f"cyclic order must be positive, got {bad}")
     chain: list[int] = []
-    for n in cyclic_orders:
-        if n <= 0:
-            raise ValueError(f"cyclic order must be positive, got {n}")
-        for i, d in enumerate(chain):
+    for n in orders:
+        i = len(chain)
+        while n > 1 and i and n % chain[i - 1]:
+            d = chain[i - 1]
             g = gcd(d, n)
-            chain[i], n = g, d * n // g
-        chain.append(n)
-    return AbGroup(rank, tuple(d for d in chain if d > 1))
+            chain[i - 1], n = d // g * n, g
+            i -= 1
+        if n > 1:
+            chain.insert(i, n)
+    return AbGroup(rank, tuple(chain))
+
+
+def kunneth_terms(a: AbGroup, b: AbGroup) -> tuple[int, list[int], list[int]]:
+    """The Kunneth terms of a pair: (rank, tensor orders, Tor orders).
+
+    With a = Z^r + sum Z_m and b = Z^s + sum Z_n, a (x) b is Z^(rs), plus
+    r copies of each Z_n and s copies of each Z_m, plus Z_gcd(m, n) for
+    every pair; Tor(a, b) is Z_gcd(m, n) for every pair, since free
+    summands have no Tor.  The orders are raw cyclic orders, not yet
+    normalized; the pairwise gcds are computed once for both terms.
+
+    >>> kunneth_terms(normalize([4], 1), cyclic(6))
+    (0, [6, 2], [2])
+    """
+    gcds = [gcd(m, n) for m in a.factors for n in b.factors]
+    return a.rank * b.rank, list(b.factors) * a.rank + list(a.factors) * b.rank + gcds, gcds

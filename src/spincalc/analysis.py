@@ -156,7 +156,7 @@ def _rewrite(e: ConstructionExpr) -> ConstructionExpr:
             # spins distribute over connected sums
             return CSum(_rewrite(Spin(e.r, child.left)), _rewrite(Spin(e.r, child.right)))
         if isinstance(child, Surface):
-            return _sphere_product_sum(child.genus, e.r)
+            return _sphere_product_sum(2 * child.genus, e.r)
         if isinstance(child, CP):
             return _rewrite(Prod(CP(child.n - 1), Sphere(e.r + 2)))
         if (
@@ -173,12 +173,16 @@ def _rewrite(e: ConstructionExpr) -> ConstructionExpr:
     return e
 
 
-def _sphere_product_sum(genus: int, r: int) -> ConstructionExpr:
-    summand: ConstructionExpr = Prod(Sphere(r + 1), Sphere(1))
-    out = summand
-    for _ in range(2 * genus - 1):
-        out = CSum(out, summand)
-    return out
+def _sphere_product_sum(copies: int, r: int) -> ConstructionExpr:
+    """The connected sum of that many copies of S^{r+1} x S^1.
+
+    The sum is a balanced tree, about log2(copies) deep, so the recursive
+    rewrite and match stay shallow however large the genus.
+    """
+    if copies == 1:
+        return Prod(Sphere(r + 1), Sphere(1))
+    half = copies // 2
+    return CSum(_sphere_product_sum(half, r), _sphere_product_sum(copies - half, r))
 
 
 def _is_sphere_product(e: ConstructionExpr) -> bool:

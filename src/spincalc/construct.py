@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .abelian import AbGroup, Z, cyclic, free
+from .abelian import AbGroup, Z, cyclic, free, kunneth_terms, normalize
 from .degrees import ALL_INTEGERS, exact_set
 from .graded import GradedGroup, homology_from_cohomology
 from .manifold import (
@@ -262,7 +262,9 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     """Cartesian product; homology by the integral Kunneth formula.
 
     Only pairs of nonzero entries A = H_i(a), B = H_j(b) contribute: A (x) B
-    in degree i+j and Tor(A, B) in i+j+1, one tensor and one Tor per pair.
+    in degree i+j and Tor(A, B) in i+j+1.  Each pair costs one
+    :func:`kunneth_terms` call, whose free rank and raw orders are added
+    up per degree; each output degree is then normalized once.
 
     >>> print(product(lens(3, 3), lens(3, 3)).homology)
     Z, for i = 0, 6
@@ -272,12 +274,16 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     0, otherwise
     """
     n = a.dim + b.dim
-    groups: dict[int, AbGroup] = {}
+    ranks: dict[int, int] = {}
+    orders: dict[int, list[int]] = {}
     for i, g in a.homology.entries:
         for j, h in b.homology.entries:
-            for k, term in ((i + j, g.tensor(h)), (i + j + 1, g.tor(h))):
-                if not term.is_trivial:
-                    groups[k] = groups[k].direct_sum(term) if k in groups else term
+            rank, tensor, tor = kunneth_terms(g, h)
+            ranks[i + j] = ranks.get(i + j, 0) + rank
+            orders.setdefault(i + j, []).extend(tensor)
+            if tor:
+                orders.setdefault(i + j + 1, []).extend(tor)
+    groups = {k: normalize(o, ranks.get(k, 0)) for k, o in orders.items()}
     homology = GradedGroup.from_dict(groups, n)
     return make_descriptor(Prod(a.expr, b.expr), n, homology, direct_product(a.pi1, b.pi1))
 

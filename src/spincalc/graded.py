@@ -151,7 +151,7 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
                 False, i, f"free rank of H_{i} is {g.rank} but H_{n - i} has {dual.rank}"
             )
         j = n - i - 1
-        if 0 <= j <= n and g.torsion() != h.group(j).torsion():
+        if 0 <= j <= n and g.factors != h.group(j).factors:
             return DualityReport(
                 False, i, f"torsion of H_{i} is {g.torsion()} but H_{j} has {h.group(j).torsion()}"
             )

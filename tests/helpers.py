@@ -53,6 +53,22 @@ def same_finite_group(orders_a: list[int], orders_b: list[int]) -> bool:
     )
 
 
+def exchange_invariant_factors(cyclic_orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors by exchanging every pair for its (gcd, lcm).
+
+    After position i has met every later position it divides all of
+    them.  Quadratic in the number of orders, and independent of the
+    chain insertion in ``abelian.normalize``, so it serves as its
+    reference on orders too large for ``same_finite_group``.
+    """
+    a = [n for n in cyclic_orders if n > 1]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = gcd(a[i], a[j])
+            a[i], a[j] = g, a[i] // g * a[j]
+    return tuple(n for n in a if n > 1)
+
+
 # -- brute-force Kunneth expansion ---------------------------------------------
 
 

@@ -1,15 +1,25 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spincalc import abelian
 from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, normalize
 from spincalc.dsl import evaluate_text
 
-from helpers import same_finite_group
+from helpers import exchange_invariant_factors, same_finite_group
 
 orders_lists = st.lists(st.integers(min_value=1, max_value=60), max_size=5)
 # 5040 = 2^4 * 3^2 * 5 * 7: its divisors mix prime powers and shared primes
 divisors_of_5040 = [d for d in range(1, 5041) if 5040 % d == 0]
-orders_of_5040 = st.lists(st.sampled_from(divisors_of_5040), max_size=12)
+orders_of_5040 = st.lists(st.sampled_from(divisors_of_5040), max_size=200)
+# up to 200 orders mixing divisors of 5040 and integers up to 10^12, with
+# a third of them repeated
+mixed_orders = st.lists(
+    st.one_of(st.sampled_from(divisors_of_5040), st.integers(min_value=1, max_value=10**12)),
+    max_size=150,
+).map(lambda orders: orders + orders[::3])
 small_groups = st.builds(
     lambda orders, rank: normalize(orders, rank),
     st.lists(st.integers(min_value=1, max_value=40), max_size=4),
@@ -32,6 +42,9 @@ class TestNormalize:
     def test_rejects_nonpositive_orders(self):
         with pytest.raises(ValueError):
             normalize([0])
+        # the first bad order in input order is named, not the smallest
+        with pytest.raises(ValueError, match=r"^cyclic order must be positive, got 0$"):
+            normalize([0, -3])
         with pytest.raises(ValueError):
             normalize([6, -2])
         with pytest.raises(ValueError):
@@ -43,11 +56,33 @@ class TestNormalize:
         g = normalize(orders)
         assert same_finite_group([n for n in orders if n > 1] or [1], list(g.factors) or [1])
 
-    @given(orders_of_5040, st.randoms(use_true_random=False))
+    # same_finite_group enumerates the divisors of the exponent, which is
+    # out of reach once integers near 10^12 are mixed in
+    @settings(deadline=None)
+    @given(mixed_orders)
+    def test_agrees_with_the_pairwise_exchange(self, orders):
+        assert normalize(orders).factors == exchange_invariant_factors(orders)
+
+    @settings(deadline=None)
+    @given(st.one_of(orders_of_5040, mixed_orders), st.randoms(use_true_random=False))
     def test_order_of_summands_is_irrelevant(self, orders, rnd):
         shuffled = list(orders)
         rnd.shuffle(shuffled)
         assert normalize(shuffled) == normalize(orders)
+
+    def test_gcd_count_is_linear_on_a_shuffled_divisibility_chain(self, monkeypatch):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return gcd(a, b)
+
+        monkeypatch.setattr(abelian, "gcd", counted)
+        orders = [5, 10] * 1000
+        random.Random(1).shuffle(orders)
+        assert normalize(orders).factors == (5,) * 1000 + (10,) * 1000
+        assert calls <= 2000
 
     def test_large_primes_need_no_factorization(self):
         p, q = 100000000003, 100000000019

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spincalc
 from spincalc.analysis import (
     ADMITS_DEGREE_MINUS_ONE,
     INCONCLUSIVE,
@@ -214,6 +219,19 @@ class TestDegreeSets:
         ds = degree_set(evaluate_text("spin(4, Sigma(2))"))
         assert ds.exact and ds.upper_bound.kind == "all"
         assert ds.rules == ("sphere-product-sum",)
+
+    @pytest.mark.parametrize("command", ["degrees", "chirality"])
+    @pytest.mark.parametrize("text", ["spin(1,Sigma(600))", "spin(2,spin(1,Sigma(2000)))"])
+    def test_spin_of_a_high_genus_surface_is_answered(self, command, text):
+        """The 2g-summand connected sum the rewrite builds stays shallow."""
+        src = Path(spincalc.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "spincalc.cli", command, text],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "Z (all integers)" in result.stdout
 
     def test_spin_distributes_over_csum_of_sphere_products(self):
         ds = degree_set(evaluate_text("spin(5, csum(prod(S(2),S(3)), prod(S(1),S(4))))"))

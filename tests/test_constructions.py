@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from spincalc.abelian import AbGroup, Z, cyclic, normalize
+from spincalc import construct
+from spincalc.abelian import Z, cyclic, normalize
 from spincalc.construct import (
     Prod,
     Sphere,
@@ -237,6 +238,7 @@ class TestProduct:
             (sphere(400), sphere(400)),
             (lens(5, 7), cp(3)),
             (lens(4, 5), lens(6, 7)),
+            (product(lens(3, 7), lens(3, 7)), lens(3, 7)),
         ]
         for _ in range(25):
             (_, a), = corpus(rng.randint(0, 10**6), 1, 3)
@@ -251,19 +253,23 @@ class TestProduct:
                 assert g.rank == rank, (a.expr, b.expr, k)
                 assert same_finite_group(orders, list(g.factors)), (a.expr, b.expr, k)
 
-    @pytest.mark.parametrize("make, n", [(sphere, 400), (cp, 150)])
+    @pytest.mark.parametrize(
+        "make, n", [(sphere, 400), (cp, 150), (lambda n: lens(3, n), 101)],
+        ids=["sphere-400", "cp-150", "lens-3-101"],
+    )
     def test_one_tensor_and_one_tor_per_pair_of_nonzero_entries(self, monkeypatch, make, n):
+        """One kunneth_terms call per pair of entries, one normalize per degree."""
         m = make(n)
-        calls = 0
-        for name in ("tensor", "tor"):
-            def counted(self, other, real=getattr(AbGroup, name)):
-                nonlocal calls
-                calls += 1
-                return real(self, other)
+        calls = {"kunneth_terms": 0, "normalize": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(construct, name)):
+                calls[name] += 1
+                return real(*args)
 
-            monkeypatch.setattr(AbGroup, name, counted)
-        product(m, m)
-        assert calls <= 2 * len(m.homology.entries) ** 2
+            monkeypatch.setattr(construct, name, counted)
+        p = product(m, m)
+        assert calls["kunneth_terms"] == len(m.homology.entries) ** 2
+        assert calls["normalize"] <= p.dim + 1
 
     def test_euler_characteristic_multiplies(self):
         rng = random.Random(7)
