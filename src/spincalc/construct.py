@@ -27,7 +27,6 @@ from .manifold import (
     direct_product,
     free_product,
     make_descriptor,
-    punctured_homology,
 )
 from .residues import is_prime
 
@@ -121,6 +120,8 @@ class Prod(ConstructionExpr):
 # homeomorphic.
 _generator_ids = itertools.count(1)
 
+_SPHERE_FACTS = frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))})
+
 
 # -- generators -----------------------------------------------------------------
 
@@ -134,10 +135,7 @@ def sphere(n: int) -> ManifoldDescriptor:
     else:
         homology = GradedGroup.from_dict({0: Z, n: Z}, n)
         pi1 = Trivial()
-    return make_descriptor(
-        Sphere(n), n, homology, pi1,
-        facts=frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))}),
-    )
+    return make_descriptor(Sphere(n), n, homology, pi1, facts=_SPHERE_FACTS)
 
 
 def cp(n: int) -> ManifoldDescriptor:
@@ -219,7 +217,8 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
 def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     """The r-spin: boundary of (M minus an open disk) x D^{r+1}.
 
-    Homology is punctured homology plus the r-shifted reduced homology;
+    Homology is punctured homology plus the r-shifted reduced homology,
+    cut from the validated entries, whose first and last are H_0 = H_n = Z;
     pi_1 is preserved in dimension >= 3.  A surface of genus g follows
     the same homology rule, but its spin is the connected sum of 2g
     copies of S^{r+1} x S^1 (``analysis._rewrite``), so pi_1 becomes the
@@ -233,7 +232,10 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if m.dim == 2 and not isinstance(pi1, Trivial):
         pi1 = free_product(*[FreeAbelian(1)] * (2 * _surface_genus(m)))
     new_dim = m.dim + r
-    homology = punctured_homology(m).direct_sum(m.homology.reduced().shift(r, new_dim))
+    entries = m.homology.entries
+    homology = GradedGroup(new_dim, entries[:-1]).direct_sum(
+        GradedGroup(new_dim, tuple((d + r, g) for d, g in entries[1:]))
+    )
     return make_descriptor(Spin(r, m.expr), new_dim, homology, pi1)
 
 
@@ -252,7 +254,7 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
     # H_0 and H_n stay Z; in between the groups add degreewise
-    homology = a.homology.direct_sum(punctured_homology(b).reduced())
+    homology = a.homology.direct_sum(GradedGroup(a.dim, b.homology.entries[1:-1]))
     return make_descriptor(
         CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1)
     )

@@ -19,7 +19,6 @@ which ``str`` prints, so printing an AST round-trips through :func:`parse`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import construct
@@ -59,74 +58,65 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "(" | ")" | "," | "end"
-    text: str
-    line: int
-    column: int
-
-
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<punct>[(),])|(?P<newline>\n)|(?P<other>\S)"
+    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<punct>[(),])|(?P<other>\S)"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at ``offset``, with its 1-based line and column."""
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, text.count("\n", 0, offset) + 1, column)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token; kind is "name", "int", "(", ")", "," or "end"."""
     tokens = []
-    line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
-        kind, tok, column = match.lastgroup, match.group(), match.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-            continue
+        kind, tok = match.lastgroup, match.group()
         if kind == "punct":
             kind = tok
         elif kind == "other":
             # any other single letter (``str.isalpha``) is a name
             if not tok.isalpha():
-                raise ParseError(f"unexpected character {tok!r}", line, column)
+                raise _error(text, match.start(), f"unexpected character {tok!r}")
             kind = "name"
-        tokens.append(_Token(kind, tok, line, column))
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
+        tokens.append((kind, tok, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(
-                f"expected {what or kind!r}, found {shown!r}", tok.line, tok.column
-            )
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            shown = tok[1] or "end of input"
+            raise _error(self.text, tok[2], f"expected {what or kind!r}, found {shown!r}")
         self.pos += 1
         return tok
 
     def parse_int(self, nonnegative: bool = False) -> int:
-        tok = self.expect("int", "an integer")
-        value = int(tok.text)
+        _, text, offset = self.expect("int", "an integer")
+        value = int(text)
         if nonnegative and value < 0:
-            raise ParseError(f"expected a nonnegative integer, found {value}", tok.line, tok.column)
+            raise _error(self.text, offset, f"expected a nonnegative integer, found {value}")
         return value
 
     def parse_expr(self) -> ConstructionExpr:
-        tok = self.expect("name", "a generator or combinator name")
-        kind = _BY_NAME.get(tok.text)
+        _, name, offset = self.expect("name", "a generator or combinator name")
+        kind = _BY_NAME.get(name)
         if kind is not None and not kind.fields:
             return kind.node()
         self.expect("(")
         if kind is None:
-            raise ParseError(
-                f"unknown name {tok.text!r}; expected one of {', '.join(_BY_NAME)}",
-                tok.line, tok.column,
+            raise _error(
+                self.text, offset,
+                f"unknown name {name!r}; expected one of {', '.join(_BY_NAME)}",
             )
         args: list = []
         for field in kind.fields:
@@ -140,11 +130,9 @@ class _Parser:
 def parse(text: str) -> ConstructionExpr:
     parser = _Parser(text)
     expr = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(
-            f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.column
-        )
+    kind, trailing, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise _error(text, offset, f"unexpected trailing input {trailing!r}")
     return expr
 
 

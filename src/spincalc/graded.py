@@ -125,10 +125,12 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     i <-> n-i-1 (the torsion linking convention).  Degree 0 and n must
     both be Z.
 
-    Only the degrees d, n-d and n-d-1 of the nonzero entries d are
-    visited, in ascending order: at any other degree i the groups H_i,
-    H_{n-i} and H_{n-i-1} are all trivial, so the test cannot fail
-    there.  The first failing degree is the one a walk over 0..n finds.
+    Each nonzero entry d is checked once, against H_{n-d} and H_{n-d-1}.
+    Both relations are symmetric, and a degree where H_i, H_{n-i} and
+    H_{n-i-1} are all trivial cannot fail, so this covers every degree.
+    Only on a mismatch are the degrees d, n-d and n-d-1 scanned in
+    ascending order, to report the first failing degree a walk over
+    0..n finds.
 
     >>> from .abelian import cyclic
     >>> check_poincare_duality(GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3), 3)
@@ -143,6 +145,11 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
         return DualityReport(
             False, 0, f"H_0 = {h.group(0)}, H_{n} = {h.group(n)}; both must be Z"
         )
+    if all(
+        g.rank == h.group(n - d).rank and g.factors == h.group(n - d - 1).factors
+        for d, g in h.entries
+    ):
+        return DualityReport(True)
     degrees = {i for d, _ in h.entries for i in (d, n - d, n - d - 1) if 0 <= i <= n}
     for i in sorted(degrees):
         g, dual = h.group(i), h.group(n - i)

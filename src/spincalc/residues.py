@@ -131,29 +131,15 @@ def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
             return g, steps
 
 
-def minus_one_square_scan(q: int) -> bool:
-    """Exhaustive check for a in [0, q) with a^2 = -1 (mod q)."""
-    if q <= 0:
-        raise ValueError("modulus must be positive")
-    return any((a * a + 1) % q == 0 for a in range(q))
-
-
-def minus_one_square_euler(q: int) -> bool:
-    """Euler criterion for an odd prime q: -1 is a square iff q = 1 (mod 4)."""
-    if not is_prime(q) or q == 2:
-        raise ValueError(f"{q} is not an odd prime")
-    return pow(q - 1, (q - 1) // 2, q) == 1
-
-
 def minus_one_is_square_mod(q: int) -> bool:
     """Is -1 a quadratic residue mod q?
 
     It is iff 4 does not divide q and every odd prime factor of q is
-    1 mod 4.  The exhaustive scan and the Euler criterion stay as the
-    test oracles of this rule.
+    1 mod 4.  A product of primes = 1 (mod 4) is itself 1 mod 4, so an
+    odd part = 3 (mod 4) answers False without factoring q.
     """
     if q <= 0:
         raise ValueError("modulus must be positive")
-    if q % 4 == 0:
+    if q % 4 == 0 or (q if q % 2 else q // 2) % 4 == 3:
         return False
     return all(p == 2 or p % 4 == 1 for p in factorize(q))

@@ -26,6 +26,7 @@ from spincalc.construct import (
 )
 from spincalc.dsl import evaluate
 from spincalc.manifold import Trivial
+from spincalc.residues import is_prime
 
 
 # -- brute-force isomorphism of finite abelian groups -------------------------
@@ -153,6 +154,20 @@ def trial_division_factorization(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def minus_one_square_scan(q: int) -> bool:
+    """Exhaustive check for a in [0, q) with a^2 = -1 (mod q)."""
+    if q <= 0:
+        raise ValueError("modulus must be positive")
+    return any((a * a + 1) % q == 0 for a in range(q))
+
+
+def minus_one_square_euler(q: int) -> bool:
+    """Euler criterion for an odd prime q: -1 is a square iff q = 1 (mod 4)."""
+    if not is_prime(q) or q == 2:
+        raise ValueError(f"{q} is not an odd prime")
+    return pow(q - 1, (q - 1) // 2, q) == 1
 
 
 def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:

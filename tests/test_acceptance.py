@@ -25,9 +25,8 @@ from spincalc.graded import (
     homology_from_cohomology,
 )
 from spincalc.manifold import validate_realizability
-from spincalc.residues import minus_one_square_euler, minus_one_square_scan
 
-from helpers import corpus
+from helpers import corpus, minus_one_square_euler, minus_one_square_scan
 
 PRIMES_3_MOD_4 = [3, 7, 11, 19]
 GRID_M = range(9)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincalc
+from spincalc import residues
 from spincalc.analysis import (
     ADMITS_DEGREE_MINUS_ONE,
     INCONCLUSIVE,
@@ -33,11 +34,9 @@ from spincalc.residues import (
     factorize,
     is_prime,
     minus_one_is_square_mod,
-    minus_one_square_euler,
-    minus_one_square_scan,
 )
 
-from helpers import trial_division_factorization
+from helpers import minus_one_square_euler, minus_one_square_scan, trial_division_factorization
 
 
 class TestResidues:
@@ -70,6 +69,15 @@ class TestResidues:
         # composites go through factorization: 101 and 13 are both 1 mod 4
         assert minus_one_is_square_mod(101 * 101 * 13) is True
         assert minus_one_is_square_mod(101 * 103 * 13) is False
+
+    def test_odd_part_3_mod_4_needs_no_factoring(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(residues, "factorize", no_factoring)
+        p, q = 100000000000000000039, 300000000000000000053  # p * q = 3 (mod 4)
+        for modulus in (p * q, 2 * p * q, 7, 14, 3 * 5 * 13):
+            assert minus_one_is_square_mod(modulus) is False, modulus
 
     def test_primality(self):
         assert is_prime(2) and is_prime(7919)
@@ -133,7 +141,7 @@ class TestFactorize:
 
     def test_probable_prime_cofactor_raises(self):
         with pytest.raises(ValueError, match="probable prime"):
-            minus_one_is_square_mod(2 * (2**89 - 1))
+            minus_one_is_square_mod(2 * MR_EXACT_BOUND)
 
     def test_step_budget_ends_the_search(self):
         p, q = 100000000000000000039, 300000000000000000053  # primes near 10^20

@@ -62,11 +62,19 @@ class TestEval:
         assert "proven strongly chiral" in out
 
     def test_unfactorable_torsion_exit_code(self, capsys):
-        p, q = 100000000000000000039, 300000000000000000053  # primes near 10^20
+        # primes near 10^20 with p * q = 1 (mod 4), so -1 mod 2pq needs factoring
+        p, q = 100000000000000000129, 300000000000000000053
         status, out, err = run(capsys, "chirality", f"E(0,{p * q})")
         assert (status, out) == (2, "")
         assert err.startswith(f"error: cannot factor {p * q}: ")
         assert err.count("\n") == 1
+
+    def test_odd_part_3_mod_4_needs_no_factoring(self, capsys):
+        # p * q = 3 (mod 4), so -1 is no square mod 2pq whatever the factors
+        p, q = 100000000000000000039, 300000000000000000053
+        status, out, _ = run(capsys, "chirality", f"E(0,{p * q})")
+        assert status == 0
+        assert "proven strongly chiral" in out
 
     def test_duality_is_checked_once_per_line(self, capsys, monkeypatch):
         original = graded.check_poincare_duality

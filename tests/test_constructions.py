@@ -123,7 +123,26 @@ class TestBundle:
             bundle(1, 0)
 
 
+def graded_groups_built(monkeypatch, build) -> int:
+    """How many GradedGroups ``build()`` constructs."""
+    post_init = GradedGroup.__post_init__
+    count = 0
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        post_init(self)
+
+    monkeypatch.setattr(GradedGroup, "__post_init__", counting)
+    build()
+    return count
+
+
 class TestSpin:
+    def test_builds_at_most_three_graded_groups(self, monkeypatch):
+        m = dehn_rhs(7)
+        assert graded_groups_built(monkeypatch, lambda: spin(4, m)) <= 3
+
     def test_four_spin_of_dehn(self):
         spun = spin(4, dehn_rhs(7))
         assert spun.homology.as_dict() == {0: Z, 1: cyclic(14), 5: cyclic(14), 7: Z}
@@ -200,6 +219,10 @@ class TestConnectedSum:
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(ValueError):
             connected_sum(sphere(3), sphere(4))
+
+    def test_builds_at_most_two_graded_groups(self, monkeypatch):
+        a, b = bundle(1, 7), spin(4, dehn_rhs(7))
+        assert graded_groups_built(monkeypatch, lambda: connected_sum(a, b)) <= 2
 
     def test_groups_add_degreewise(self):
         pairs = [

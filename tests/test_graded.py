@@ -168,6 +168,26 @@ class TestDuality:
         # plus the H_0 and H_n check
         assert calls <= 9 * len(m.homology.entries) + 2
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: spin(4, dehn_rhs(7)), lambda: lens(7, 301), lambda: cp(150)],
+        ids=["spin(4,N(7))", "L(7,301)", "CP(150)"],
+    )
+    def test_a_passing_check_looks_up_two_degrees_per_entry(self, build, monkeypatch):
+        m = build()
+        lookup = GradedGroup.group
+        calls = 0
+
+        def counting(self, degree):
+            nonlocal calls
+            calls += 1
+            return lookup(self, degree)
+
+        monkeypatch.setattr(GradedGroup, "group", counting)
+        assert check_poincare_duality(m.homology, m.dim)
+        # H_{n-d} and H_{n-d-1} per entry d, plus the H_0 and H_n check
+        assert calls <= 2 * len(m.homology.entries) + 2
+
 
 class TestUniversalCoefficients:
     def test_rhs3_cohomology(self):
