@@ -18,20 +18,33 @@ factor magnitudes are limited only by memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
+from ._value import Value, set_field
 
-@dataclass(frozen=True)
-class AbGroup:
+
+class AbGroup(Value):
     """A finitely generated abelian group in invariant-factor normal form.
 
     The constructor rejects anything that is not already in normal form;
     use :func:`normalize` to build a group from arbitrary cyclic orders.
     """
 
-    rank: int
-    factors: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("rank", "factors")
+
+    def __init__(self, rank: int, factors: tuple[int, ...] = ()) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "factors", factors)
+        self.__post_init__()
+
+    # equality and hashing written out: groups are compared and hashed on every op
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is AbGroup:
+            return self.rank == other.rank and self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.factors))
 
     def __post_init__(self) -> None:
         if self.rank < 0:

@@ -8,13 +8,14 @@ descriptor; traces record which rule produced each conclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Value, set_field
 from .construct import (
     CP,
     CSum,
     ConstructionExpr,
+    DehnRHS,
     Prod,
     Sphere,
     Spin,
@@ -43,10 +44,12 @@ ADMITS_DEGREE_MINUS_ONE = "admits_degree_minus_one"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ChiralityVerdict:
-    kind: str
-    trace: tuple[str, ...]
+class ChiralityVerdict(Value):
+    __slots__ = __match_args__ = ("kind", "trace")
+
+    def __init__(self, kind: str, trace: tuple[str, ...]) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "trace", trace)
 
     @property
     def is_strongly_chiral(self) -> bool:
@@ -82,7 +85,12 @@ def _linking_obstruction(m: ManifoldDescriptor) -> tuple[str, ...] | None:
     q = middle_torsion(m).is_cyclic_of_order()
     if q is None:
         return None
-    if minus_one_is_square_mod(q):
+    if isinstance(m.expr, DehnRHS) and q == 2 * m.expr.p:
+        # dehn_rhs certified p prime, so -1 is a square mod 2p iff p = 1 (mod 4)
+        square = m.expr.p % 4 == 1
+    else:
+        square = minus_one_is_square_mod(q)
+    if square:
         return None
     return (
         f"dimension {m.dim} = 2k+1 with k = {k} odd: torsion linking pairing applies",

@@ -8,9 +8,9 @@ degree-set rewrite rules later pattern-match on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import ClassVar
 
+from ._value import Value, set_field
 from .abelian import AbGroup, Z, cyclic, free, kunneth_terms, normalize
 from .degrees import ALL_INTEGERS, exact_set
 from .graded import GradedGroup, homology_from_cohomology
@@ -34,15 +34,15 @@ from .residues import is_prime
 # -- construction expressions --------------------------------------------------
 
 
-class ConstructionExpr:
+class ConstructionExpr(Value):
     """AST node; leaves are generators, internal nodes combinators.
 
     Each node class names itself in the construction language with
     ``name``; ``str`` prints that name and then the fields in order.
     """
 
+    __slots__ = ()
     name: ClassVar[str]
-    __match_args__: ClassVar[tuple[str, ...]]  # the dataclass fields, in order
 
     def __str__(self) -> str:
         args = ""
@@ -51,68 +51,86 @@ class ConstructionExpr:
         return f"{self.name}({args[1:]})" if args else self.name
 
 
-@dataclass(frozen=True)
 class Sphere(ConstructionExpr):
     name = "S"
-    n: int
+    __slots__ = __match_args__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
 class CP(ConstructionExpr):
     name = "CP"
-    n: int
+    __slots__ = __match_args__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
 class Surface(ConstructionExpr):
     name = "Sigma"
-    genus: int
+    __slots__ = __match_args__ = ("genus",)
+
+    def __init__(self, genus: int) -> None:
+        set_field(self, "genus", genus)
 
 
-@dataclass(frozen=True)
 class Lens(ConstructionExpr):
     name = "L"
-    p: int
-    dim: int
+    __slots__ = __match_args__ = ("p", "dim")
+
+    def __init__(self, p: int, dim: int) -> None:
+        set_field(self, "p", p)
+        set_field(self, "dim", dim)
 
 
-@dataclass(frozen=True)
 class DehnRHS(ConstructionExpr):
     name = "N"
-    p: int
+    __slots__ = __match_args__ = ("p",)
+
+    def __init__(self, p: int) -> None:
+        set_field(self, "p", p)
 
 
-@dataclass(frozen=True)
 class IHS3(ConstructionExpr):
     name = "IHS3"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bundle(ConstructionExpr):
     name = "E"
-    m: int
-    d: int
+    __slots__ = __match_args__ = ("m", "d")
+
+    def __init__(self, m: int, d: int) -> None:
+        set_field(self, "m", m)
+        set_field(self, "d", d)
 
 
-@dataclass(frozen=True)
 class Spin(ConstructionExpr):
     name = "spin"
-    r: int
-    child: ConstructionExpr
+    __slots__ = __match_args__ = ("r", "child")
+
+    def __init__(self, r: int, child: ConstructionExpr) -> None:
+        set_field(self, "r", r)
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
 class CSum(ConstructionExpr):
     name = "csum"
-    left: ConstructionExpr
-    right: ConstructionExpr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: ConstructionExpr, right: ConstructionExpr) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Prod(ConstructionExpr):
     name = "prod"
-    left: ConstructionExpr
-    right: ConstructionExpr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: ConstructionExpr, right: ConstructionExpr) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 # Fresh ids for hyperbolic generators: each call models a different
@@ -121,6 +139,8 @@ class Prod(ConstructionExpr):
 _generator_ids = itertools.count(1)
 
 _SPHERE_FACTS = frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))})
+_DEHN_RHS_FACTS = frozenset({Hyperbolic(), OddOrderIsometryGroup()})
+_IHS3_FACTS = frozenset({Hyperbolic()})
 
 
 # -- generators -----------------------------------------------------------------
@@ -178,7 +198,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     return make_descriptor(
         DehnRHS(p), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        facts=frozenset({Hyperbolic(), OddOrderIsometryGroup()}),
+        facts=_DEHN_RHS_FACTS,
     )
 
 
@@ -188,7 +208,7 @@ def ihs3() -> ManifoldDescriptor:
     return make_descriptor(
         IHS3(), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        facts=frozenset({Hyperbolic()}),
+        facts=_IHS3_FACTS,
     )
 
 

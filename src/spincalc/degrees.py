@@ -7,8 +7,9 @@ set, and whether the two coincide exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+
+from ._value import Value, set_field
 
 
 def _integer_nth_root(x: int, n: int) -> int:
@@ -29,12 +30,15 @@ def _integer_nth_root(x: int, n: int) -> int:
         r = s
 
 
-@dataclass(frozen=True)
-class UpperBound:
+class UpperBound(Value):
     """One of the closed-form supersets a degree set can be confined to."""
 
-    kind: str  # "all" | "signed_unit" | "nonnegative_unit" | "perfect_powers" | "unknown"
-    exponent: int | None = None  # for perfect_powers only
+    __slots__ = __match_args__ = ("kind", "exponent")
+
+    def __init__(self, kind: str, exponent: int | None = None) -> None:
+        # "all" | "signed_unit" | "nonnegative_unit" | "perfect_powers" | "unknown"
+        set_field(self, "kind", kind)
+        set_field(self, "exponent", exponent)  # for perfect_powers only
 
     def contains(self, d: int) -> bool:
         if self.kind in ("all", "unknown"):
@@ -88,8 +92,7 @@ def perfect_powers(exponent: int) -> UpperBound:
     return UpperBound("perfect_powers", exponent)
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(Value):
     """Partial knowledge of D(M).
 
     ``exact`` means D(M) is exactly the set denoted by ``upper_bound``.
@@ -97,10 +100,20 @@ class DegreeSet:
     always contains {0, 1}.
     """
 
-    known_subset: frozenset[int] = frozenset({0, 1})
-    upper_bound: UpperBound = UNKNOWN_BOUND
-    exact: bool = False
-    rules: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("known_subset", "upper_bound", "exact", "rules")
+
+    def __init__(
+        self,
+        known_subset: frozenset[int] = frozenset({0, 1}),
+        upper_bound: UpperBound = UNKNOWN_BOUND,
+        exact: bool = False,
+        rules: tuple[str, ...] = (),
+    ) -> None:
+        set_field(self, "known_subset", known_subset)
+        set_field(self, "upper_bound", upper_bound)
+        set_field(self, "exact", exact)
+        set_field(self, "rules", rules)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not {0, 1} <= self.known_subset:

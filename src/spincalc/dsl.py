@@ -29,7 +29,7 @@ NAT, INT, EXPR = "nat", "int", "expr"
 
 class Kind(NamedTuple):
     node: type[ConstructionExpr]
-    fields: tuple[str, ...]  # NAT, INT or EXPR per dataclass field, in order
+    fields: tuple[str, ...]  # NAT, INT or EXPR per field (``__match_args__``), in order
     # the construction in ``construct``, looked up by name at each call so
     # that a rebound module attribute (a tracing wrapper) is the one called
     build: str

@@ -7,17 +7,20 @@ manifold).  Trivial entries are pruned so equality is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value, set_field
 from .abelian import AbGroup, TRIVIAL, Z
 
 
-@dataclass(frozen=True)
-class GradedGroup:
-    top_degree: int
-    entries: tuple[tuple[int, AbGroup], ...] = ()
-    # degree -> group index over ``entries``, for O(1) lookup in ``group``
-    _by_degree: dict[int, AbGroup] = field(init=False, repr=False, compare=False)
+class GradedGroup(Value):
+    __match_args__ = ("top_degree", "entries")
+    # _by_degree: degree -> group index over ``entries``, for O(1) lookup in
+    # ``group``; not a field, so equality, hashing and repr leave it out
+    __slots__ = (*__match_args__, "_by_degree")
+
+    def __init__(self, top_degree: int, entries: tuple[tuple[int, AbGroup], ...] = ()) -> None:
+        set_field(self, "top_degree", top_degree)
+        set_field(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.top_degree < 0:
@@ -34,7 +37,7 @@ class GradedGroup:
         degs = [d for d, _ in self.entries]
         if degs != sorted(degs):
             raise ValueError("entries must be sorted by degree")
-        object.__setattr__(self, "_by_degree", by_degree)
+        set_field(self, "_by_degree", by_degree)
 
     @classmethod
     def from_dict(cls, groups: dict[int, AbGroup], top_degree: int) -> "GradedGroup":
@@ -108,11 +111,13 @@ class GradedGroup:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    ok: bool
-    failing_degree: int | None = None
-    message: str = ""
+class DualityReport(Value):
+    __slots__ = __match_args__ = ("ok", "failing_degree", "message")
+
+    def __init__(self, ok: bool, failing_degree: int | None = None, message: str = "") -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "failing_degree", failing_degree)
+        set_field(self, "message", message)
 
     def __bool__(self) -> bool:
         return self.ok

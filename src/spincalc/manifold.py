@@ -8,9 +8,9 @@ from both, axiomatized facts, and the construction expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from ._value import Value, set_field
 from .abelian import AbGroup
 from .degrees import DegreeSet
 from .graded import GradedGroup, check_poincare_duality, cohomology_from_homology
@@ -19,71 +19,87 @@ from .graded import GradedGroup, check_poincare_duality, cohomology_from_homolog
 # -- fundamental group tags --------------------------------------------------
 
 
-class Pi1Tag:
+class Pi1Tag(Value):
     """Structural tag for a fundamental group (not the group itself)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Trivial(Pi1Tag):
+    __slots__ = ()
+
     def describe(self) -> str:
         return "1"
 
 
-@dataclass(frozen=True)
 class FreeAbelian(Pi1Tag):
-    rank: int
+    __slots__ = __match_args__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        set_field(self, "rank", rank)
 
     def describe(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
 
-@dataclass(frozen=True)
 class FiniteCyclic(Pi1Tag):
-    order: int
+    __slots__ = __match_args__ = ("order",)
+
+    def __init__(self, order: int) -> None:
+        set_field(self, "order", order)
 
     def describe(self) -> str:
         return f"Z_{self.order}"
 
 
-@dataclass(frozen=True)
 class HyperbolicThreeManifoldGroup(Pi1Tag):
     """Fundamental group of a fixed closed hyperbolic 3-manifold generator."""
 
-    generator_id: int
+    __slots__ = __match_args__ = ("generator_id",)
+
+    def __init__(self, generator_id: int) -> None:
+        set_field(self, "generator_id", generator_id)
 
     def describe(self) -> str:
         return f"pi_1(hyperbolic 3-manifold #{self.generator_id})"
 
 
-@dataclass(frozen=True)
 class SurfaceGroup(Pi1Tag):
-    genus: int
+    __slots__ = __match_args__ = ("genus",)
+
+    def __init__(self, genus: int) -> None:
+        set_field(self, "genus", genus)
 
     def describe(self) -> str:
         return f"pi_1(Sigma_{self.genus})"
 
 
-@dataclass(frozen=True)
 class FreeProduct(Pi1Tag):
-    parts: tuple[Pi1Tag, ...]
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[Pi1Tag, ...]) -> None:
+        set_field(self, "parts", parts)
 
     def describe(self) -> str:
         return " * ".join(p.describe() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class DirectProduct(Pi1Tag):
-    parts: tuple[Pi1Tag, ...]
+    __slots__ = __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[Pi1Tag, ...]) -> None:
+        set_field(self, "parts", parts)
 
     def describe(self) -> str:
         return " x ".join(f"({p.describe()})" if isinstance(p, (FreeProduct, DirectProduct)) else p.describe() for p in self.parts)
 
 
-@dataclass(frozen=True)
 class UnknownGroup(Pi1Tag):
+    __slots__ = ()
+
     def describe(self) -> str:
         return "?"
 
@@ -116,36 +132,44 @@ def direct_product(*parts: Pi1Tag) -> Pi1Tag:
 # -- axiomatized facts --------------------------------------------------------
 
 
-class AxiomFact:
+class AxiomFact(Value):
     """A property taken on faith at generator construction or by assertion."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Hyperbolic(AxiomFact):
+    __slots__ = ()
+
     def describe(self) -> str:
         return "admits a closed real hyperbolic metric"
 
 
-@dataclass(frozen=True)
 class OddOrderIsometryGroup(AxiomFact):
+    __slots__ = ()
+
     def describe(self) -> str:
         return "full isometry group has odd order"
 
 
-@dataclass(frozen=True)
 class ExternallyProvenStronglyChiral(AxiomFact):
-    citation: str
+    __slots__ = __match_args__ = ("citation",)
+
+    def __init__(self, citation: str) -> None:
+        set_field(self, "citation", citation)
 
     def describe(self) -> str:
         return f"strongly chiral by external result: {self.citation}"
 
 
-@dataclass(frozen=True)
 class KnownDegreeSet(AxiomFact):
-    degrees: DegreeSet
+    __slots__ = __match_args__ = ("degrees",)
+
+    def __init__(self, degrees: DegreeSet) -> None:
+        set_field(self, "degrees", degrees)
 
     def describe(self) -> str:
         return f"degree set known: {self.degrees.describe()}"
@@ -158,14 +182,24 @@ class InvalidDescriptor(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
-    expr: Any  # ConstructionExpr; typed loosely to avoid an import cycle
-    dim: int
-    homology: GradedGroup
-    pi1: Pi1Tag
-    connectivity: int
-    facts: frozenset[AxiomFact] = frozenset()
+class ManifoldDescriptor(Value):
+    __slots__ = __match_args__ = ("expr", "dim", "homology", "pi1", "connectivity", "facts")
+
+    def __init__(
+        self,
+        expr: Any,
+        dim: int,
+        homology: GradedGroup,
+        pi1: Pi1Tag,
+        connectivity: int,
+        facts: frozenset[AxiomFact] = frozenset(),
+    ) -> None:
+        set_field(self, "expr", expr)  # a ConstructionExpr, typed loosely to avoid an import cycle
+        set_field(self, "dim", dim)
+        set_field(self, "homology", homology)
+        set_field(self, "pi1", pi1)
+        set_field(self, "connectivity", connectivity)
+        set_field(self, "facts", facts)
 
     def cohomology(self) -> GradedGroup:
         return cohomology_from_homology(self.homology, self.dim)
@@ -271,10 +305,12 @@ def middle_torsion(m: ManifoldDescriptor) -> AbGroup:
     return m.homology.group((m.dim - 1) // 2).torsion()
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
+class Violation(Value):
+    __slots__ = __match_args__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        set_field(self, "code", code)
+        set_field(self, "message", message)
 
 
 def validate_realizability(m: ManifoldDescriptor) -> list[Violation]:

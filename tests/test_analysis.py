@@ -176,6 +176,24 @@ class TestChirality:
         assert verdict.kind == PROVEN_STRONGLY_CHIRAL
         assert any("external" in step for step in verdict.trace)
 
+    def test_dehn_filling_of_a_1_mod_4_prime_needs_no_primality_test(self, monkeypatch):
+        """dehn_rhs certified p, so -1 mod 2p is read off p mod 4."""
+        m = dehn_rhs(999999999989)  # prime, = 1 (mod 4)
+        calls = []
+        for name in ("is_prime", "factorize"):
+            original = getattr(residues, name)
+            monkeypatch.setattr(
+                residues, name, lambda n, name=name, f=original: calls.append(name) or f(n)
+            )
+        verdict = chirality_verdict(m)
+        assert calls == []
+        assert verdict.describe() == (
+            "inconclusive\n"
+            "  - -1 is a square mod 1999999999978, so the torsion linking test is silent\n"
+            "  - no externally proven chirality fact recorded\n"
+            "  - degree-set engine does not realize -1"
+        )
+
     def test_contradictory_fact_raises(self):
         m = sphere(3).with_fact(ExternallyProvenStronglyChiral("bogus"))
         with pytest.raises(ValueError):
