@@ -148,66 +148,35 @@ def _blockers(m: ManifoldDescriptor) -> list[str]:
 # -- degree sets ---------------------------------------------------------------
 
 
-def _rewrite(e: ConstructionExpr) -> ConstructionExpr:
-    """Normalize spins of known forms so classification rules can fire."""
-    if isinstance(e, CP) and e.n == 1:
-        return Sphere(2)
-    if isinstance(e, CSum):
-        return CSum(_rewrite(e.left), _rewrite(e.right))
-    if isinstance(e, Prod):
-        return Prod(_rewrite(e.left), _rewrite(e.right))
-    if isinstance(e, Spin):
-        child = _rewrite(e.child)
-        if isinstance(child, Sphere):
-            return Sphere(child.n + e.r)
-        if isinstance(child, CSum):
-            # spins distribute over connected sums
-            return CSum(_rewrite(Spin(e.r, child.left)), _rewrite(Spin(e.r, child.right)))
-        if isinstance(child, Surface):
-            return _sphere_product_sum(2 * child.genus, e.r)
-        if isinstance(child, CP):
-            return _rewrite(Prod(CP(child.n - 1), Sphere(e.r + 2)))
-        if (
-            isinstance(child, Prod)
-            and isinstance(child.left, Sphere)
-            and isinstance(child.right, Sphere)
-        ):
-            n, k = child.left.n, child.right.n
-            return CSum(
-                Prod(Sphere(n + e.r), Sphere(k)),
-                Prod(Sphere(n), Sphere(k + e.r)),
-            )
-        return Spin(e.r, child)
-    return e
+def _sphere_level(e: ConstructionExpr) -> int:
+    """How close ``e`` is to a connected sum of sphere products.
 
-
-def _sphere_product_sum(copies: int, r: int) -> ConstructionExpr:
-    """The connected sum of that many copies of S^{r+1} x S^1.
-
-    The sum is a balanced tree, about log2(copies) deep, so the recursive
-    rewrite and match stay shallow however large the genus.
+    4: a sphere (CP^1 included); 3: a product of spheres; 2: a connected
+    sum of sphere products, under any spins; 1: not 2 itself, but every
+    spin of it is (a surface, CP^2, or a connected sum of such); 0: other.
+    A spin's level follows sigma_r S^n = S^{n+r},
+    sigma_r CP^2 = S^2 x S^{r+2}, sigma_r Sigma_g = #_{2g} S^{r+1} x S^1,
+    and sigma_r (S^n x S^k) = (S^{n+r} x S^k) # (S^n x S^{k+r}), spins
+    distributing over connected sums.
     """
-    if copies == 1:
-        return Prod(Sphere(r + 1), Sphere(1))
-    half = copies // 2
-    return CSum(_sphere_product_sum(half, r), _sphere_product_sum(copies - half, r))
-
-
-def _is_sphere_product(e: ConstructionExpr) -> bool:
     if isinstance(e, Sphere):
-        return True
+        return 4
+    if isinstance(e, CP):
+        return 4 if e.n == 1 else 1 if e.n == 2 else 0
+    if isinstance(e, Surface):
+        return 1
     if isinstance(e, Prod):
-        return _is_sphere_product(e.left) and _is_sphere_product(e.right)
-    return False
-
-
-def _is_sphere_product_sum(e: ConstructionExpr) -> bool:
-    """Sphere, product of spheres, or connected sum of such, under any spins."""
+        return 3 if min(_sphere_level(e.left), _sphere_level(e.right)) >= 3 else 0
     if isinstance(e, CSum):
-        return _is_sphere_product_sum(e.left) and _is_sphere_product_sum(e.right)
+        return min(_sphere_level(e.left), _sphere_level(e.right), 2)
     if isinstance(e, Spin):
-        return _is_sphere_product_sum(e.child)
-    return _is_sphere_product(e)
+        level = _sphere_level(e.child)
+        if level == 4:
+            return 4
+        if isinstance(e.child, CP) and e.child.n == 2:
+            return 3
+        return 2 if level >= 1 else 0
+    return 0
 
 
 def degree_set(m: ManifoldDescriptor) -> DegreeSet:
@@ -226,17 +195,16 @@ def _degree_set(
     expr = m.expr
 
     # the spin of CP^n as a whole has degree set Z, even though no rule
-    # covers its rewritten product form; this fires before rewriting
+    # covers CP^{n-1} x S^{r+2}, its product form; this fires first
     if isinstance(expr, Spin) and isinstance(expr.child, CP) and expr.child.n >= 2:
         return exact_set(ALL_INTEGERS, ("spin-of-complex-projective",))
 
-    e = _rewrite(expr)
-    if _is_sphere_product_sum(e):
+    if _sphere_level(expr) >= 2:
         return exact_set(ALL_INTEGERS, ("sphere-product-sum",))
-    if isinstance(e, Surface):
+    if isinstance(expr, Surface):
         return exact_set(SIGNED_UNIT, ("hyperbolic-surface",))
-    if isinstance(e, CP) and e.n >= 2:
-        return exact_set(perfect_powers(e.n), ("complex-projective",))
+    if isinstance(expr, CP) and expr.n >= 2:
+        return exact_set(perfect_powers(expr.n), ("complex-projective",))
 
     known: set[int] = {0, 1}
     upper = DegreeSet().upper_bound

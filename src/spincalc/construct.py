@@ -2,7 +2,7 @@
 
 Every operation returns a validated :class:`ManifoldDescriptor`.  The
 construction expression is carried along as provenance and is what the
-degree-set rewrite rules later pattern-match on.
+degree-set rules later read.
 """
 
 from __future__ import annotations
@@ -241,7 +241,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     cut from the validated entries, whose first and last are H_0 = H_n = Z;
     pi_1 is preserved in dimension >= 3.  A surface of genus g follows
     the same homology rule, but its spin is the connected sum of 2g
-    copies of S^{r+1} x S^1 (``analysis._rewrite``), so pi_1 becomes the
+    copies of S^{r+1} x S^1 (``analysis._sphere_level``), so pi_1 becomes the
     free group of rank 2g.
     """
     if r < 1:

@@ -176,6 +176,96 @@ def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:
     }
 
 
+# -- sphere-product sums by rewriting the AST -------------------------------------
+
+
+def rewrite(e: ConstructionExpr) -> ConstructionExpr:
+    """Normalize spins of known forms into sphere products and sums.
+
+    The reference for ``analysis._sphere_level``: it builds the rewritten
+    tree, where that reads a level off each node of the original.
+    """
+    if isinstance(e, CP) and e.n == 1:
+        return Sphere(2)
+    if isinstance(e, CSum):
+        return CSum(rewrite(e.left), rewrite(e.right))
+    if isinstance(e, Prod):
+        return Prod(rewrite(e.left), rewrite(e.right))
+    if isinstance(e, Spin):
+        child = rewrite(e.child)
+        if isinstance(child, Sphere):
+            return Sphere(child.n + e.r)
+        if isinstance(child, CSum):
+            # spins distribute over connected sums
+            return CSum(rewrite(Spin(e.r, child.left)), rewrite(Spin(e.r, child.right)))
+        if isinstance(child, Surface):
+            return _sphere_product_sum(2 * child.genus, e.r)
+        if isinstance(child, CP):
+            return rewrite(Prod(CP(child.n - 1), Sphere(e.r + 2)))
+        if (
+            isinstance(child, Prod)
+            and isinstance(child.left, Sphere)
+            and isinstance(child.right, Sphere)
+        ):
+            n, k = child.left.n, child.right.n
+            return CSum(
+                Prod(Sphere(n + e.r), Sphere(k)),
+                Prod(Sphere(n), Sphere(k + e.r)),
+            )
+        return Spin(e.r, child)
+    return e
+
+
+def _sphere_product_sum(copies: int, r: int) -> ConstructionExpr:
+    """The connected sum of that many copies of S^{r+1} x S^1, as a balanced tree."""
+    if copies == 1:
+        return Prod(Sphere(r + 1), Sphere(1))
+    half = copies // 2
+    return CSum(_sphere_product_sum(half, r), _sphere_product_sum(copies - half, r))
+
+
+def _is_sphere_product(e: ConstructionExpr) -> bool:
+    if isinstance(e, Sphere):
+        return True
+    if isinstance(e, Prod):
+        return _is_sphere_product(e.left) and _is_sphere_product(e.right)
+    return False
+
+
+def is_sphere_product_sum(e: ConstructionExpr) -> bool:
+    """Sphere, product of spheres, or connected sum of such, under any spins."""
+    if isinstance(e, CSum):
+        return is_sphere_product_sum(e.left) and is_sphere_product_sum(e.right)
+    if isinstance(e, Spin):
+        return is_sphere_product_sum(e.child)
+    return _is_sphere_product(e)
+
+
+def all_asts(leaves: list[ConstructionExpr], depth: int) -> list[ConstructionExpr]:
+    """Every AST of at most that depth over the leaves, with spin radius 1.
+
+    Dimensions are not checked, so most of them are not valid manifolds.
+    """
+    out = list(leaves)
+    for _ in range(depth):
+        out = (
+            list(leaves)
+            + [Spin(1, e) for e in out]
+            + [node(a, b) for node in (CSum, Prod) for a in out for b in out]
+        )
+    return out
+
+
+def random_ast(rng: random.Random, leaves: list[ConstructionExpr], depth: int) -> ConstructionExpr:
+    """An AST of at most that depth, spins twice as likely as sums or products."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.choice([Spin, Spin, CSum, Prod])
+    if kind is Spin:
+        return Spin(rng.randint(1, 3), random_ast(rng, leaves, depth - 1))
+    return kind(random_ast(rng, leaves, depth - 1), random_ast(rng, leaves, depth - 1))
+
+
 # -- randomized construction corpus ---------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import isqrt, prod
@@ -13,10 +14,16 @@ from spincalc.analysis import (
     ADMITS_DEGREE_MINUS_ONE,
     INCONCLUSIVE,
     PROVEN_STRONGLY_CHIRAL,
+    _sphere_level,
     chirality_verdict,
     degree_set,
 )
 from spincalc.construct import (
+    CP,
+    DehnRHS,
+    Lens,
+    Sphere,
+    Surface,
     cp,
     dehn_rhs,
     lens,
@@ -36,7 +43,15 @@ from spincalc.residues import (
     minus_one_is_square_mod,
 )
 
-from helpers import minus_one_square_euler, minus_one_square_scan, trial_division_factorization
+from helpers import (
+    all_asts,
+    is_sphere_product_sum,
+    minus_one_square_euler,
+    minus_one_square_scan,
+    random_ast,
+    rewrite,
+    trial_division_factorization,
+)
 
 
 class TestResidues:
@@ -247,17 +262,33 @@ class TestDegreeSets:
         assert ds.rules == ("sphere-product-sum",)
 
     @pytest.mark.parametrize("command", ["degrees", "chirality"])
-    @pytest.mark.parametrize("text", ["spin(1,Sigma(600))", "spin(2,spin(1,Sigma(2000)))"])
+    @pytest.mark.parametrize(
+        "text",
+        ["spin(1,Sigma(600))", "spin(2,spin(1,Sigma(2000)))", "spin(2,spin(1,Sigma(200000)))"],
+    )
     def test_spin_of_a_high_genus_surface_is_answered(self, command, text):
-        """The 2g-summand connected sum the rewrite builds stays shallow."""
+        """The sphere level of a spun surface is read off its nodes, whatever the genus."""
         src = Path(spincalc.__file__).resolve().parent.parent
         result = subprocess.run(
             [sys.executable, "-m", "spincalc.cli", command, text],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-            timeout=60,
+            timeout=10,
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert "Z (all integers)" in result.stdout
+
+    @pytest.mark.parametrize(
+        "text, answer",
+        [
+            ("spin(1,csum(CP(2),CP(2)))", "Z (all integers)"),
+            ("spin(3,spin(1,CP(2)))", "Z (all integers)"),
+            ("spin(1,prod(prod(S(2),S(2)),S(2)))", "Z (all integers)"),
+            ("prod(spin(1,spin(1,CP(2))),S(2))", "contains [0, 1]; no upper bound known"),
+            ("csum(spin(1,CP(3)),spin(1,CP(3)))", "contains [0, 1]; no upper bound known"),
+        ],
+    )
+    def test_spins_of_complex_projective_and_sphere_products(self, text, answer):
+        assert degree_set(evaluate_text(text)).describe() == answer
 
     def test_spin_distributes_over_csum_of_sphere_products(self):
         ds = degree_set(evaluate_text("spin(5, csum(prod(S(2),S(3)), prod(S(1),S(4))))"))
@@ -284,3 +315,23 @@ class TestDegreeSets:
             verdict = chirality_verdict(m)
             ds = degree_set(m)
             assert not (verdict.kind == PROVEN_STRONGLY_CHIRAL and -1 in ds.known_subset)
+
+
+class TestSphereLevel:
+    """``_sphere_level`` against a rewrite that builds the spun tree."""
+
+    LEAVES = [Sphere(1), Sphere(2), CP(1), CP(2), CP(3), Surface(2), Lens(3, 3), DehnRHS(7)]
+
+    @staticmethod
+    def disagreements(asts) -> list[str]:
+        return [str(e) for e in asts if (_sphere_level(e) >= 2) != is_sphere_product_sum(rewrite(e))]
+
+    def test_every_ast_of_depth_two_matches_the_rewrite(self):
+        asts = all_asts(self.LEAVES, 2)
+        assert len(asts) == 41624
+        assert self.disagreements(asts) == []
+
+    def test_random_deep_asts_match_the_rewrite(self):
+        # a wrong level for spin(r, CP(2)) first shows at depth 3, beyond the set above
+        rng = random.Random(2024)
+        assert self.disagreements(random_ast(rng, self.LEAVES, 6) for _ in range(20000)) == []

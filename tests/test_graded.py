@@ -125,6 +125,11 @@ class TestDuality:
         g = GradedGroup.from_list([Z, cyclic(3), TRIVIAL, Z])
         assert check_poincare_duality(g, 3)
 
+    def test_passing_reports_are_one_shared_object(self):
+        a = check_poincare_duality(DIM7, 7)
+        b = check_poincare_duality(GradedGroup.from_list([Z, cyclic(3), TRIVIAL, Z]), 3)
+        assert a.ok and a is b
+
     def test_reports_offending_degree(self):
         g = GradedGroup.from_dict({0: Z, 1: cyclic(3), 4: Z}, 4)
         report = check_poincare_duality(g, 4)
