@@ -33,7 +33,7 @@ from .construct import (
     pipeline_main,
     pipeline_main2,
 )
-from .dsl import ParseError, evaluate_text
+from .dsl import Memo, ParseError, evaluate_text
 from .graded import GradedGroup
 from .manifold import HyperbolicThreeManifoldGroup, validate_realizability
 
@@ -42,22 +42,25 @@ SCHEMA = "1"
 _TABLE1_RADII = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2))
 
 
-def _run_each(arg: str, handle: Callable[[str], int]) -> int:
-    """Run ``handle`` on the expression, or on each stdin line for ``-``.
+def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], int]) -> int:
+    """Run ``handle`` on the expression, or on each stdin line for ``-``, and its descriptor.
 
+    One :class:`Memo` serves the call, so each distinct sub-expression of
+    its lines is built once, and it is dropped when the call returns.
     In batch mode a line that fails to parse or evaluate, or nests too
     deeply, is reported with its stdin line number and the rest still
     run; the result is the worst status.  A single expression's error goes up to ``main``.
     """
+    memo = Memo()
     if arg != "-":
-        return handle(arg)
+        return handle(arg, evaluate_text(arg, memo))
     status = 0
     for k, line in enumerate(sys.stdin, 1):
         text = line.strip()
         if not text:
             continue
         try:
-            status = max(status, handle(text))
+            status = max(status, handle(text, evaluate_text(text, memo)))
         except (ParseError, ValueError, RecursionError) as exc:
             message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
             print(f"error: line {k}: {message}", file=sys.stderr)
@@ -106,16 +109,16 @@ def _indent(text: str) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    def handle(text: str) -> int:
-        print(_descriptor_report(evaluate_text(text), args.json))
+    def handle(text: str, m: ManifoldDescriptor) -> int:
+        print(_descriptor_report(m, args.json))
         return 0
 
     return _run_each(args.expr, handle)
 
 
 def _cmd_chirality(args: argparse.Namespace) -> int:
-    def handle(text: str) -> int:
-        verdict = chirality_verdict(evaluate_text(text))
+    def handle(text: str, m: ManifoldDescriptor) -> int:
+        verdict = chirality_verdict(m)
         if args.json:
             print(json.dumps({"schema": SCHEMA, "expr": text, **verdict.to_json()}, indent=2))
         else:
@@ -126,8 +129,8 @@ def _cmd_chirality(args: argparse.Namespace) -> int:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    def handle(text: str) -> int:
-        ds = degree_set(evaluate_text(text))
+    def handle(text: str, m: ManifoldDescriptor) -> int:
+        ds = degree_set(m)
         if args.json:
             print(json.dumps({"schema": SCHEMA, "expr": text, **ds.to_json()}, indent=2))
         else:
@@ -192,8 +195,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    def handle(text: str) -> int:
-        violations = validate_realizability(evaluate_text(text))
+    def handle(text: str, m: ManifoldDescriptor) -> int:
+        violations = validate_realizability(m)
         if not violations:
             print(f"{text}: ok")
             return 0

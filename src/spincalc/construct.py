@@ -253,9 +253,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
         pi1 = free_product(*[FreeAbelian(1)] * (2 * _surface_genus(m)))
     new_dim = m.dim + r
     entries = m.homology.entries
-    homology = GradedGroup(new_dim, entries[:-1]).direct_sum(
-        GradedGroup(new_dim, tuple((d + r, g) for d, g in entries[1:]))
-    )
+    homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
     return make_descriptor(Spin(r, m.expr), new_dim, homology, pi1)
 
 
@@ -274,7 +272,7 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
     # H_0 and H_n stay Z; in between the groups add degreewise
-    homology = a.homology.direct_sum(GradedGroup(a.dim, b.homology.entries[1:-1]))
+    homology = GradedGroup.from_sum(a.dim, a.homology.entries, b.homology.entries[1:-1])
     return make_descriptor(
         CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1)
     )

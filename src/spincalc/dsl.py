@@ -14,6 +14,10 @@ class with the kinds of its fields and its construction in
 :mod:`construct`.  The parser, the unknown-name message and
 :func:`evaluate` read that table; the DSL name is the class's ``name``,
 which ``str`` prints, so printing an AST round-trips through :func:`parse`.
+
+A :class:`Memo` lets one command build each distinct sub-expression of
+its lines once: the parser hash-conses the nodes into it, and
+:func:`evaluate` reuses the descriptors of the nodes that repeat.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ import re
 from typing import NamedTuple
 
 from . import construct
-from .construct import ConstructionExpr, ManifoldDescriptor
+from .construct import ConstructionExpr
+from .manifold import (
+    DirectProduct,
+    FreeProduct,
+    HyperbolicThreeManifoldGroup,
+    ManifoldDescriptor,
+    Pi1Tag,
+)
 
 NAT, INT, EXPR = "nat", "int", "expr"
 
@@ -49,6 +60,45 @@ KINDS = (
 )
 _BY_NAME = {kind.node.name: kind for kind in KINDS}
 _BY_NODE = {kind.node: kind for kind in KINDS}
+# the kinds whose construction draws an id from ``construct._generator_ids``
+_NUMBERED = (construct.DehnRHS, construct.IHS3)
+
+
+class Memo:
+    """What one command keeps while it runs its lines; drop it with the command.
+
+    ``nodes`` interns every parsed node on (class, ints, child ids), so
+    equal sub-expressions are one object (hash-consing, Filliatre and
+    Conchon 2006) and a node's id stands for its value while the memo
+    lives.  ``lines`` maps each line parsed to its node.  ``generators``
+    holds, for each node with any, its number of N and IHS3 leaves.
+    ``kept`` maps the id of each node evaluated to None after its first
+    evaluation and to (descriptor, generators) from its second on: only
+    repeated nodes keep a descriptor, so a batch of distinct lines
+    retains nothing for the garbage collector to scan.
+    """
+
+    __slots__ = ("nodes", "lines", "generators", "kept")
+
+    def __init__(self) -> None:
+        self.nodes: dict[tuple, ConstructionExpr] = {}
+        self.lines: dict[str, ConstructionExpr] = {}
+        self.generators: dict[int, int] = {}
+        self.kept: dict[int, tuple[ManifoldDescriptor, int] | None] = {}
+
+    def intern(self, kind: Kind, args: list) -> ConstructionExpr:
+        """The one node equal to ``kind.node(*args)``, whose children are interned."""
+        key = (kind.node, *[id(a) if f == EXPR else a for f, a in zip(kind.fields, args)])
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = kind.node(*args)
+            count = kind.node in _NUMBERED
+            for field, arg in zip(kind.fields, args):
+                if field == EXPR:
+                    count += self.generators.get(id(arg), 0)
+            if count:
+                self.generators[id(node)] = count
+        return node
 
 
 class ParseError(ValueError):
@@ -87,10 +137,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: Memo):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.memo = memo
 
     def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -110,25 +161,25 @@ class _Parser:
     def parse_expr(self) -> ConstructionExpr:
         _, name, offset = self.expect("name", "a generator or combinator name")
         kind = _BY_NAME.get(name)
-        if kind is not None and not kind.fields:
-            return kind.node()
-        self.expect("(")
-        if kind is None:
-            raise _error(
-                self.text, offset,
-                f"unknown name {name!r}; expected one of {', '.join(_BY_NAME)}",
-            )
         args: list = []
-        for field in kind.fields:
-            if args:
-                self.expect(",")
-            args.append(self.parse_expr() if field == EXPR else self.parse_int(field == NAT))
-        self.expect(")")
-        return kind.node(*args)
+        if kind is None or kind.fields:
+            self.expect("(")
+            if kind is None:
+                raise _error(
+                    self.text, offset,
+                    f"unknown name {name!r}; expected one of {', '.join(_BY_NAME)}",
+                )
+            for field in kind.fields:
+                if args:
+                    self.expect(",")
+                args.append(self.parse_expr() if field == EXPR else self.parse_int(field == NAT))
+            self.expect(")")
+        return self.memo.intern(kind, args)
 
 
-def parse(text: str) -> ConstructionExpr:
-    parser = _Parser(text)
+def parse(text: str, memo: Memo | None = None) -> ConstructionExpr:
+    """The AST of one expression, its nodes interned in ``memo`` (or a fresh one)."""
+    parser = _Parser(text, Memo() if memo is None else memo)
     expr = parser.parse_expr()
     kind, trailing, offset = parser.tokens[parser.pos]
     if kind != "end":
@@ -136,17 +187,57 @@ def parse(text: str) -> ConstructionExpr:
     return expr
 
 
-def evaluate(ast: ConstructionExpr) -> ManifoldDescriptor:
-    """Dispatch an AST into the construction calculus."""
+def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescriptor:
+    """Dispatch an AST into the construction calculus.
+
+    With a memo, ``ast`` must come from :func:`parse` with that memo.  A
+    node's descriptor is then kept from its second evaluation on and
+    reused from its third; a reused descriptor gets a fresh id for each
+    N or IHS3 under the node, drawn in source order from
+    ``construct._generator_ids``, exactly the ids a rebuild would draw.
+    """
+    if memo is not None:
+        kept = memo.kept.get(id(ast))
+        if kept is not None:
+            m, generators = kept
+            if not generators:
+                return m
+            return ManifoldDescriptor(
+                m.expr, m.dim, m.homology, _fresh_ids(m.pi1), m.connectivity, m.facts
+            )
     kind = _BY_NODE.get(type(ast))
     if kind is None:
         raise TypeError(f"not a construction expression: {ast!r}")
     args = []
     for name, field in zip(ast.__match_args__, kind.fields):
         value = getattr(ast, name)
-        args.append(evaluate(value) if field == EXPR else value)
-    return getattr(construct, kind.build)(*args)
+        args.append(evaluate(value, memo) if field == EXPR else value)
+    m = getattr(construct, kind.build)(*args)
+    if memo is not None:
+        seen = id(ast) in memo.kept
+        memo.kept[id(ast)] = (m, memo.generators.get(id(ast), 0)) if seen else None
+    return m
 
 
-def evaluate_text(text: str) -> ManifoldDescriptor:
-    return evaluate(parse(text))
+def _fresh_ids(tag: Pi1Tag) -> Pi1Tag:
+    """``tag`` with the next generator id for each hyperbolic group in it, in order.
+
+    Every construction keeps the pi_1 tags of its operands in source
+    order (only the spin of a surface replaces them, and no N or IHS3 is
+    ever below a surface), so this draws the ids a rebuild would.
+    """
+    if isinstance(tag, HyperbolicThreeManifoldGroup):
+        return HyperbolicThreeManifoldGroup(next(construct._generator_ids))
+    if isinstance(tag, (FreeProduct, DirectProduct)):
+        return tag.__class__(tuple([_fresh_ids(part) for part in tag.parts]))
+    return tag
+
+
+def evaluate_text(text: str, memo: Memo | None = None) -> ManifoldDescriptor:
+    """Parse and evaluate one expression; with a memo, a line seen before is not parsed again."""
+    if memo is None:
+        memo = Memo()
+    ast = memo.lines.get(text)
+    if ast is None:
+        ast = memo.lines[text] = parse(text, memo)
+    return evaluate(ast, memo)

@@ -7,6 +7,8 @@ manifold).  Trivial entries are pruned so equality is canonical.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ._value import Value, set_field
 from .abelian import AbGroup, TRIVIAL, Z
 
@@ -23,19 +25,26 @@ class GradedGroup(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.top_degree < 0:
+        top = self.top_degree
+        if top < 0:
             raise ValueError("top_degree must be nonnegative")
         by_degree: dict[int, AbGroup] = {}
+        # an entry's range, duplicate and trivial errors come before any
+        # order error, so the order is only noted here and raised at the end
+        highest, unsorted = -1, False
         for deg, g in self.entries:
-            if deg < 0 or deg > self.top_degree:
-                raise ValueError(f"degree {deg} outside [0, {self.top_degree}]")
-            if deg in by_degree:
+            if deg < 0 or deg > top:
+                raise ValueError(f"degree {deg} outside [0, {top}]")
+            if deg > highest:
+                highest = deg
+            elif deg in by_degree:
                 raise ValueError(f"duplicate degree {deg}")
+            else:
+                unsorted = True
             if g.is_trivial:
                 raise ValueError(f"trivial group stored at degree {deg}")
             by_degree[deg] = g
-        degs = [d for d, _ in self.entries]
-        if degs != sorted(degs):
+        if unsorted:
             raise ValueError("entries must be sorted by degree")
         set_field(self, "_by_degree", by_degree)
 
@@ -43,6 +52,19 @@ class GradedGroup(Value):
     def from_dict(cls, groups: dict[int, AbGroup], top_degree: int) -> "GradedGroup":
         items = tuple(sorted((d, g) for d, g in groups.items() if not g.is_trivial))
         return cls(top_degree, items)
+
+    @classmethod
+    def from_sum(
+        cls,
+        top_degree: int,
+        first: Iterable[tuple[int, AbGroup]],
+        second: Iterable[tuple[int, AbGroup]],
+    ) -> "GradedGroup":
+        """Two sequences of (degree, group) entries, added where their degrees meet."""
+        groups: dict[int, AbGroup] = dict(first)
+        for d, g in second:
+            groups[d] = groups[d].direct_sum(g) if d in groups else g
+        return cls.from_dict(groups, top_degree)
 
     @classmethod
     def from_list(cls, groups: list[AbGroup]) -> "GradedGroup":
@@ -79,10 +101,8 @@ class GradedGroup(Value):
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
         """Degreewise direct sum up to the larger top; shared degrees are combined."""
-        out: dict[int, AbGroup] = dict(self.entries)
-        for d, g in other.entries:
-            out[d] = out[d].direct_sum(g) if d in out else g
-        return GradedGroup.from_dict(out, max(self.top_degree, other.top_degree))
+        top = max(self.top_degree, other.top_degree)
+        return GradedGroup.from_sum(top, self.entries, other.entries)
 
     # -- serialization ------------------------------------------------------
 

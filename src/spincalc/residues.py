@@ -10,6 +10,23 @@ from math import gcd
 MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, the first k bases): below psi_k, the least strong pseudoprime to
+# the first k prime bases (OEIS A014233), those k bases are already exact.
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases never pay.
+_MR_PREFIXES = tuple(
+    (bound, _MR_BASES[:k])
+    for bound, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (318665857834031151167461, 12),
+    )
+)
 
 # factorize trial-divides below this bound, then leaves the rest to rho.
 _TRIAL_BOUND = 1000
@@ -24,9 +41,11 @@ _RHO_BATCH = 128
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < MR_EXACT_BOUND.
 
-    At or above the bound, a witness still proves n composite and gives
-    False; passing every base only makes n a probable prime, so that
-    raises ValueError instead of returning True.
+    Below a bound of ``_MR_PREFIXES`` only its first bases run, and
+    from the last one on all 13.  At or above MR_EXACT_BOUND, a witness
+    still proves n composite and gives False; passing every base only
+    makes n a probable prime, so that raises ValueError instead of
+    returning True.
     """
     if n < 2:
         return False
@@ -37,7 +56,12 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    bases = _MR_BASES
+    for bound, prefix in _MR_PREFIXES:
+        if n < bound:
+            bases = prefix
+            break
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from math import gcd, lcm, prod
 
+from spincalc import construct
 from spincalc.abelian import Z
 from spincalc.construct import (
     CP,
@@ -24,9 +25,9 @@ from spincalc.construct import (
     Spin,
     Surface,
 )
-from spincalc.dsl import evaluate
+from spincalc.dsl import EXPR, KINDS, evaluate
 from spincalc.manifold import Trivial
-from spincalc.residues import is_prime
+from spincalc.residues import MR_EXACT_BOUND, is_prime
 
 
 # -- brute-force isomorphism of finite abelian groups -------------------------
@@ -156,6 +157,37 @@ def trial_division_factorization(n: int) -> dict[int, int]:
     return out
 
 
+def thirteen_base_is_prime(n: int) -> bool:
+    """Miller-Rabin with all 13 prime bases up to 41, whatever the size of n.
+
+    The reference for the shorter base prefixes of ``residues.is_prime``;
+    exact only below ``MR_EXACT_BOUND``.
+    """
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(f"{n} is not below the exact bound")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def minus_one_square_scan(q: int) -> bool:
     """Exhaustive check for a in [0, q) with a^2 = -1 (mod q)."""
     if q <= 0:
@@ -174,6 +206,25 @@ def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:
     return {
         d: (g.rank, list(g.factors)) for d, g in descriptor.homology.entries
     }
+
+
+# -- evaluation without a memo ------------------------------------------------------
+
+_KIND_OF = {kind.node: kind for kind in KINDS}
+
+
+def reference_evaluate(ast: ConstructionExpr):
+    """Evaluate an AST by building every node afresh, children first.
+
+    The reference for the memo of ``dsl.evaluate``: it keeps nothing, so
+    each N and IHS3 draws its generator id where it stands.
+    """
+    kind = _KIND_OF[type(ast)]
+    args = []
+    for name, field in zip(ast.__match_args__, kind.fields):
+        value = getattr(ast, name)
+        args.append(reference_evaluate(value) if field == EXPR else value)
+    return getattr(construct, kind.build)(*args)
 
 
 # -- sphere-product sums by rewriting the AST -------------------------------------

@@ -50,7 +50,22 @@ from helpers import (
     minus_one_square_scan,
     random_ast,
     rewrite,
+    thirteen_base_is_prime,
     trial_division_factorization,
+)
+
+# psi_k of OEIS A014233, the least strong pseudoprime to the first k prime
+# bases, for k = 1, ..., 7, 9 and 12; psi_8 = psi_7 and psi_10 = psi_11 = psi_9
+LEAST_STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
 )
 
 
@@ -103,7 +118,23 @@ class TestResidues:
         assert 399165290221 * 798330580441 == 318665857834031151167461
         assert not is_prime(318665857834031151167461)
 
+    @pytest.mark.parametrize("psi", LEAST_STRONG_PSEUDOPRIMES)
+    def test_least_strong_pseudoprimes_are_rejected(self, psi):
+        # psi_k passes the first k bases, so the prefix below it must go one further
+        assert not is_prime(psi)
+
+    def test_base_prefixes_agree_with_all_thirteen_bases(self):
+        assert [n for n in range(300000) if is_prime(n)] == [
+            n for n in range(300000) if thirteen_base_is_prime(n)
+        ]
+        rng = random.Random(2024)
+        for _ in range(5000):
+            bits = rng.randint(40, 80)
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            assert is_prime(n) == thirteen_base_is_prime(n), n
+
     def test_probable_prime_above_exact_bound_raises(self):
+
         assert is_prime(MR_EXACT_BOUND - 168)  # the largest prime below the bound
         for n in (MR_EXACT_BOUND, 2**89 - 1):
             with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import io
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spincalc
-from spincalc import construct
+from spincalc import cli, construct
 from spincalc.construct import (
     CP,
     Bundle,
@@ -21,7 +24,9 @@ from spincalc.construct import (
     Spin,
     Surface,
 )
-from spincalc.dsl import KINDS, ParseError, evaluate, evaluate_text, parse
+from spincalc.dsl import KINDS, Memo, ParseError, evaluate, evaluate_text, parse
+
+from helpers import corpus, random_ast, reference_evaluate
 
 leaves = st.one_of(
     st.builds(Sphere, st.integers(0, 20)),
@@ -192,3 +197,79 @@ class TestEvaluate:
     def test_rejects_non_expression(self):
         with pytest.raises(TypeError):
             evaluate("S(3)")  # a string is not an AST
+
+
+class TestMemo:
+    """One command builds each distinct sub-expression of its lines once."""
+
+    def test_equal_sub_expressions_are_one_node(self):
+        memo = Memo()
+        ast = parse("csum(spin(1,IHS3),spin(1, IHS3))", memo)
+        assert ast.left is ast.right
+        assert parse("IHS3", memo) is ast.left.child
+        assert parse("prod(IHS3,N(7))", memo).left is ast.left.child
+        assert len(memo.nodes) == 5  # IHS3, spin, csum, N(7), prod
+
+    def test_repeated_lines_build_each_node_at_most_twice_per_call(self, monkeypatch, capsys):
+        calls = {"product": 0, "lens": 0}
+        for name in calls:
+
+            def counted(*args, real=getattr(construct, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(construct, name, counted)
+        line = "prod(L(3,101),L(3,101))\n"
+        counts = []
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(line * 50))
+            assert cli.main(["eval", "-"]) == 0
+            assert capsys.readouterr().out.count("expression:    prod(L(3,101),L(3,101))") == 50
+            counts.append(dict(calls))
+        assert counts[0]["product"] <= 2 and counts[0]["lens"] <= 2
+        # the second call builds as much again: no state survives a call
+        assert counts[1] == {name: 2 * n for name, n in counts[0].items()}
+
+    def test_a_reused_descriptor_gets_fresh_generator_ids(self, monkeypatch, capsys):
+        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+        monkeypatch.setattr("sys.stdin", io.StringIO("N(7)\nN(7)\ncsum(N(7),N(7))\n"))
+        assert cli.main(["eval", "-"]) == 0
+        pi1 = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pi_1:")]
+        assert [line.split(None, 1)[1] for line in pi1] == [
+            "pi_1(hyperbolic 3-manifold #1)",
+            "pi_1(hyperbolic 3-manifold #2)",
+            "pi_1(hyperbolic 3-manifold #3) * pi_1(hyperbolic 3-manifold #4)",
+        ]
+
+
+@pytest.fixture(scope="module")
+def oracle_batch() -> str:
+    """The seed-2024 corpus and 2000 random ASTs, many of them invalid."""
+    lines = [str(expr) for expr, _ in corpus(2024, 1000)]
+    leaves = [
+        Sphere(1), Sphere(3), CP(2), Surface(2), Lens(3, 3), DehnRHS(7), IHS3(), Bundle(1, 7)
+    ]
+    rng = random.Random(2024)
+    lines += [str(random_ast(rng, leaves, 5)) for _ in range(2000)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "-"], ["eval", "-", "--json"], ["chirality", "-"], ["degrees", "-"], ["validate", "-"]],
+    ids=" ".join,
+)
+def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkeypatch, capsys):
+    """Stdout, stderr and exit code, generator ids included, as if nothing were kept."""
+
+    def run() -> tuple[int, str, str]:
+        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+        monkeypatch.setattr("sys.stdin", io.StringIO(oracle_batch))
+        status = cli.main(argv)
+        out = capsys.readouterr()
+        return status, out.out, out.err
+
+    memoized = run()
+    monkeypatch.setattr(cli, "evaluate_text", lambda text, memo: reference_evaluate(parse(text)))
+    assert memoized == run()
+    assert memoized[2].count("error: line") > 100

@@ -31,6 +31,31 @@ class TestConstruction:
     def test_equality_is_degreewise(self):
         assert GradedGroup.from_list([Z, cyclic(14), TRIVIAL, Z]) == N7
 
+    @pytest.mark.parametrize(
+        "top, entries, message",
+        [
+            (-1, (), "top_degree must be nonnegative"),
+            (2, ((0, Z), (3, Z)), "degree 3 outside [0, 2]"),
+            (3, ((0, Z), (1, cyclic(2)), (1, Z)), "duplicate degree 1"),
+            (3, ((0, Z), (2, TRIVIAL)), "trivial group stored at degree 2"),
+            (3, ((2, Z), (0, Z)), "entries must be sorted by degree"),
+            # an order error comes last: every entry's own error goes first
+            (3, ((2, Z), (0, Z), (2, Z)), "duplicate degree 2"),
+            (6, ((1, Z), (5, Z), (2, Z), (5, Z)), "duplicate degree 5"),
+            (3, ((3, Z), (1, Z), (1, Z)), "duplicate degree 1"),
+            (3, ((2, Z), (0, Z), (1, TRIVIAL)), "trivial group stored at degree 1"),
+            (3, ((2, Z), (0, Z), (4, Z)), "degree 4 outside [0, 3]"),
+        ],
+    )
+    def test_error_messages_and_their_precedence(self, top, entries, message):
+        with pytest.raises(ValueError) as exc:
+            GradedGroup(top, entries)
+        assert str(exc.value) == message
+
+    def test_from_sum_adds_groups_where_degrees_meet(self):
+        g = GradedGroup.from_sum(4, ((0, Z), (2, cyclic(2))), ((2, cyclic(3)), (4, Z)))
+        assert g == GradedGroup.from_dict({0: Z, 2: cyclic(6), 4: Z}, 4)
+
 
 class TestShiftAndReduced:
     def test_shift_of_reduced_rhs3(self):
