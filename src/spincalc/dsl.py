@@ -202,9 +202,7 @@ def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescrip
             m, generators = kept
             if not generators:
                 return m
-            return ManifoldDescriptor(
-                m.expr, m.dim, m.homology, _fresh_ids(m.pi1), m.connectivity, m.facts
-            )
+            return ManifoldDescriptor(m.expr, m.dim, m.homology, _fresh_ids(m.pi1), m.facts)
     kind = _BY_NODE.get(type(ast))
     if kind is None:
         raise TypeError(f"not a construction expression: {ast!r}")

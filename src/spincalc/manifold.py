@@ -2,8 +2,9 @@
 
 A descriptor records everything the engine knows about a closed
 connected oriented manifold: dimension, exact integral homology, a
-structural tag for the fundamental group, the connectivity derived
-from both, axiomatized facts, and the construction expression.
+structural tag for the fundamental group, axiomatized facts, and the
+construction expression; the connectivity is derived from the homology
+and pi_1 when it is read.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class InvalidDescriptor(ValueError):
 
 
 class ManifoldDescriptor(Value):
-    __slots__ = __match_args__ = ("expr", "dim", "homology", "pi1", "connectivity", "facts")
+    __slots__ = __match_args__ = ("expr", "dim", "homology", "pi1", "facts")
 
     def __init__(
         self,
@@ -191,15 +192,17 @@ class ManifoldDescriptor(Value):
         dim: int,
         homology: GradedGroup,
         pi1: Pi1Tag,
-        connectivity: int,
         facts: frozenset[AxiomFact] = frozenset(),
     ) -> None:
         set_field(self, "expr", expr)  # a ConstructionExpr, typed loosely to avoid an import cycle
         set_field(self, "dim", dim)
         set_field(self, "homology", homology)
         set_field(self, "pi1", pi1)
-        set_field(self, "connectivity", connectivity)
         set_field(self, "facts", facts)
+
+    @property
+    def connectivity(self) -> int:
+        return homological_connectivity(self.homology, self.pi1)
 
     def cohomology(self) -> GradedGroup:
         return cohomology_from_homology(self.homology, self.dim)
@@ -215,10 +218,7 @@ class ManifoldDescriptor(Value):
 
     def with_fact(self, fact: AxiomFact) -> "ManifoldDescriptor":
         """Explicit user assertion of an axiomatized fact."""
-        return ManifoldDescriptor(
-            self.expr, self.dim, self.homology, self.pi1, self.connectivity,
-            self.facts | {fact},
-        )
+        return ManifoldDescriptor(self.expr, self.dim, self.homology, self.pi1, self.facts | {fact})
 
     def is_rational_homology_sphere(self) -> bool:
         """All intermediate groups torsion (free ranks vanish for 0 < i < n)."""
@@ -245,8 +245,7 @@ def make_descriptor(
 ) -> ManifoldDescriptor:
     """Validated construction: closed connected oriented invariants enforced.
 
-    Poincare duality covers the top degree and H_0 = H_dim = Z; the
-    connectivity is derived from the homology and pi_1.
+    Poincare duality covers the top degree and H_0 = H_dim = Z.
     """
     if dim < 1:
         raise InvalidDescriptor(f"dimension {dim} < 1")
@@ -255,9 +254,7 @@ def make_descriptor(
         raise InvalidDescriptor(f"duality fails: {report.message}")
     if isinstance(pi1, Trivial) and not homology.group(1).is_trivial:
         raise InvalidDescriptor("trivial pi_1 forces trivial H_1")
-    return ManifoldDescriptor(
-        expr, dim, homology, pi1, homological_connectivity(homology, pi1), facts
-    )
+    return ManifoldDescriptor(expr, dim, homology, pi1, facts)
 
 
 def homological_connectivity(homology: GradedGroup, pi1: Pi1Tag) -> int:
@@ -270,8 +267,9 @@ def homological_connectivity(homology: GradedGroup, pi1: Pi1Tag) -> int:
         return 0
     # A dense walk on purpose: the perfbench test
     # test_an_overrunning_probe_is_counted_not_fatal needs `eval S(3000000)`
-    # to overrun 0.3 s.  Once that probe no longer rests on this walk,
-    # the answer is one read of the first reduced entry.
+    # to overrun 0.3 s.  Only the `eval` report reads the connectivity, of
+    # its root alone; once that probe no longer rests on this walk, the
+    # answer is one read of the first reduced entry.
     c = 0
     for i in range(1, homology.top_degree + 1):
         if homology.group(i).is_trivial:

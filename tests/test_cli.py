@@ -15,6 +15,67 @@ def run(capsys, *argv):
     return status, out.out, out.err
 
 
+# the exact stdout of `eval "S(3)" --json` and of `eval "S(3)"`
+S3_JSON = """\
+{
+  "schema": "1",
+  "expr": "S(3)",
+  "dim": 3,
+  "homology": {
+    "top": 3,
+    "groups": {
+      "0": {
+        "rank": 1,
+        "factors": []
+      },
+      "3": {
+        "rank": 1,
+        "factors": []
+      }
+    }
+  },
+  "pi1": "1",
+  "connectivity": 2,
+  "facts": [
+    "degree set known: Z (all integers)"
+  ],
+  "cohomology": {
+    "top": 3,
+    "groups": {
+      "0": {
+        "rank": 1,
+        "factors": []
+      },
+      "3": {
+        "rank": 1,
+        "factors": []
+      }
+    }
+  },
+  "euler_characteristic": 0,
+  "duality": true,
+  "violations": []
+}
+"""
+S3_TEXT = """\
+expression:    S(3)
+dimension:     3
+pi_1:          1
+connectivity:  2
+euler char:    0
+homology H_i:
+  Z, for i = 0, 3
+  0, otherwise
+cohomology H^i:
+  Z, for i = 0, 3
+  0, otherwise
+duality check: ok
+facts:
+  - degree set known: Z (all integers)
+violations:    none
+"""
+
+
 class TestEval:
     def test_text_report(self, capsys):
         status, out, _ = run(capsys, "eval", "N(7)")
@@ -31,6 +92,11 @@ class TestEval:
         assert payload["dim"] == 7
         assert payload["homology"]["groups"]["3"] == {"rank": 0, "factors": [14]}
         assert payload["duality"] is True
+
+    def test_schema_1_report_of_a_sphere_byte_for_byte(self, capsys):
+        """Schema "1" is pinned: key order (connectivity between pi1 and facts) and layout."""
+        assert run(capsys, "eval", "S(3)", "--json") == (0, S3_JSON, "")
+        assert run(capsys, "eval", "S(3)") == (0, S3_TEXT, "")
 
     def test_parse_error_exit_code(self, capsys):
         status, _, err = run(capsys, "eval", "spin(1,")

@@ -1,5 +1,13 @@
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import spincalc
+from spincalc import cli, manifold
 from spincalc.abelian import Z, cyclic, free
 from spincalc.construct import bundle, cp, dehn_rhs, ihs3, sphere, spin
 from spincalc.graded import GradedGroup
@@ -127,3 +135,46 @@ class TestRealizability:
     def test_generators_pass(self):
         for m in (dehn_rhs(7), ihs3(), sphere(4), bundle(2, 3)):
             assert validate_realizability(m) == []
+
+
+class TestConnectivityIsReadOnlyByEval:
+    """Only the ``eval`` report reads the connectivity, and only of its root."""
+
+    # a batch with repeated lines, so that memoized nodes are reused, N(7) with fresh ids
+    BATCH = "csum(S(3),N(7))\n" * 3 + "spin(2,S(5))\n" * 3 + "\nprod(S(2),S(2))\n"
+
+    def walks(self, monkeypatch, *argv, stdin=None):
+        """The number of connectivity walks one successful command makes."""
+        calls = []
+        walk = manifold.homological_connectivity
+        monkeypatch.setattr(
+            manifold, "homological_connectivity", lambda *a: calls.append(a) or walk(*a)
+        )
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli.main(list(argv)) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("command", ["chirality", "degrees", "validate"])
+    def test_chirality_degrees_and_validate_never_walk(self, monkeypatch, command):
+        assert self.walks(monkeypatch, command, "csum(spin(2,N(7)),S(5))") == 0
+        assert self.walks(monkeypatch, command, "-", stdin=self.BATCH) == 0
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_eval_walks_once_per_printed_line(self, monkeypatch, flags):
+        assert self.walks(monkeypatch, "eval", "csum(spin(2,N(7)),S(5))", *flags) == 1
+        lines = [line for line in self.BATCH.splitlines() if line]
+        assert self.walks(monkeypatch, "eval", "-", *flags, stdin=self.BATCH) == len(lines)
+
+    @pytest.mark.parametrize("command", ["chirality", "degrees", "validate"])
+    @pytest.mark.parametrize("text", ["S(10000000000)", "csum(S(10000000000),S(10000000000))"])
+    def test_a_ten_billion_dimensional_sphere_is_answered(self, command, text):
+        """Without the walk, nothing on these commands' path grows with the dimension."""
+        src = Path(spincalc.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "spincalc.cli", command, text],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=10,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith(text if command != "degrees" else f"D({text})")

@@ -70,8 +70,8 @@ SAMPLES = {
     ExternallyProvenStronglyChiral: [("a citation",), ("another",)],
     KnownDegreeSet: [(DegreeSet(),), (exact_set(ALL_INTEGERS),)],
     ManifoldDescriptor: [
-        (Sphere(3), 3, S3, Trivial(), 2),
-        (Sphere(3), 3, S3, Trivial(), 2, frozenset({Hyperbolic()})),
+        (Sphere(3), 3, S3, Trivial()),
+        (Sphere(3), 3, S3, Trivial(), frozenset({Hyperbolic()})),
     ],
     Violation: [("euler-sign", "chi = 0"), ("euler-sign", "chi = 2")],
     ChiralityVerdict: [("inconclusive", ("no rule",)), ("inconclusive", ())],
@@ -142,6 +142,15 @@ def test_fields_cannot_be_set_or_deleted(cls):
 @CLASSES
 def test_match_args_are_the_constructor_parameters(cls):
     assert cls.__match_args__ == tuple(inspect.signature(cls).parameters)
+
+
+def test_connectivity_is_read_not_stored():
+    """The connectivity is a function of homology and pi_1, so it is no field."""
+    m = ManifoldDescriptor(Sphere(3), 3, S3, Trivial())
+    assert "connectivity" not in repr(m)
+    assert m.connectivity == 2
+    with pytest.raises(AttributeError):
+        m.connectivity = 0
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
