@@ -26,7 +26,7 @@ from .construct import (
 from .degrees import DegreeSet
 from .dsl import evaluate, evaluate_text, parse
 from .graded import GradedGroup, check_poincare_duality
-from .manifold import ManifoldDescriptor, punctured_homology, validate_realizability
+from .manifold import ManifoldDescriptor, validate_realizability
 
 __all__ = [
     "AbGroup", "GradedGroup", "ManifoldDescriptor", "DegreeSet", "ChiralityVerdict",
@@ -34,7 +34,7 @@ __all__ = [
     "sphere", "cp", "surface", "lens", "dehn_rhs", "ihs3", "bundle",
     "spin", "connected_sum", "product", "iterated_spin",
     "pipeline_main", "pipeline_main2",
-    "check_poincare_duality", "punctured_homology", "validate_realizability",
+    "check_poincare_duality", "validate_realizability",
     "chirality_verdict", "degree_set",
     "parse", "evaluate", "evaluate_text",
 ]

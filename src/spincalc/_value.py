@@ -2,11 +2,13 @@
 
 A subclass names its fields in ``__match_args__``, declares them as
 ``__slots__`` and writes a plain ``__init__`` taking the fields in that
-order, setting each with :func:`set_field`.  The base gives it equality
-and hashing over the tuple of fields, equal only for the same type, a
-``Name(field=value, ...)`` repr, pickling, and a ``__setattr__`` and
-``__delattr__`` that raise ``AttributeError``.  No code is generated at
-import, which keeps the import of ``spincalc`` short.
+order, setting each with :func:`set_field` and then checking any
+invariant of the type, so every value that exists is valid.  The base
+gives it equality and hashing over the tuple of fields, equal only for
+the same type, a ``Name(field=value, ...)`` repr, pickling, and a
+``__setattr__`` and ``__delattr__`` that raise ``AttributeError``.  No
+code is generated at import, which keeps the import of ``spincalc``
+short.
 """
 
 from __future__ import annotations

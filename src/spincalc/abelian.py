@@ -18,7 +18,7 @@ factor magnitudes are limited only by memory.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 
 from ._value import Value, set_field
 
@@ -35,7 +35,16 @@ class AbGroup(Value):
     def __init__(self, rank: int, factors: tuple[int, ...] = ()) -> None:
         set_field(self, "rank", rank)
         set_field(self, "factors", factors)
-        self.__post_init__()
+        if rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {rank}")
+        for f in factors:
+            if f < 2:
+                raise ValueError(f"invariant factor {f} < 2")
+        for a, b in zip(factors, factors[1:]):
+            if b % a != 0:
+                raise ValueError(
+                    f"invariant factors must form a divisibility chain: {a} does not divide {b}"
+                )
 
     # equality and hashing written out: groups are compared and hashed on every op
     def __eq__(self, other: object) -> bool:
@@ -46,33 +55,11 @@ class AbGroup(Value):
     def __hash__(self) -> int:
         return hash((self.rank, self.factors))
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
-        for f in self.factors:
-            if f < 2:
-                raise ValueError(f"invariant factor {f} < 2")
-        for a, b in zip(self.factors, self.factors[1:]):
-            if b % a != 0:
-                raise ValueError(
-                    f"invariant factors must form a divisibility chain: {a} does not divide {b}"
-                )
-
     # -- structural queries -------------------------------------------------
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
-    def order(self) -> int | None:
-        """Group order, or None for infinite groups."""
-        if self.rank > 0:
-            return None
-        return prod(self.factors)
 
     def torsion(self) -> "AbGroup":
         """The torsion subgroup (rank dropped)."""
@@ -105,10 +92,6 @@ class AbGroup(Value):
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "factors": list(self.factors)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AbGroup":
-        return cls(int(data["rank"]), tuple(int(f) for f in data["factors"]))
 
     def __str__(self) -> str:
         if self.is_trivial:

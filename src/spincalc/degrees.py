@@ -113,16 +113,13 @@ class DegreeSet(Value):
         set_field(self, "upper_bound", upper_bound)
         set_field(self, "exact", exact)
         set_field(self, "rules", rules)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not {0, 1} <= self.known_subset:
+        if not {0, 1} <= known_subset:
             raise ValueError("known_subset must contain 0 and 1")
-        if self.upper_bound.kind != "unknown":
-            for d in self.known_subset:
-                if not self.upper_bound.contains(d):
+        if upper_bound.kind != "unknown":
+            for d in known_subset:
+                if not upper_bound.contains(d):
                     raise ValueError(f"known degree {d} outside upper bound")
-        if self.exact and self.upper_bound.kind == "unknown":
+        if exact and upper_bound.kind == "unknown":
             raise ValueError("an exact degree set needs a concrete bound")
 
     def contains_minus_one(self) -> bool:

@@ -22,19 +22,15 @@ class GradedGroup(Value):
     def __init__(self, top_degree: int, entries: tuple[tuple[int, AbGroup], ...] = ()) -> None:
         set_field(self, "top_degree", top_degree)
         set_field(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        top = self.top_degree
-        if top < 0:
+        if top_degree < 0:
             raise ValueError("top_degree must be nonnegative")
         by_degree: dict[int, AbGroup] = {}
         # an entry's range, duplicate and trivial errors come before any
         # order error, so the order is only noted here and raised at the end
         highest, unsorted = -1, False
-        for deg, g in self.entries:
-            if deg < 0 or deg > top:
-                raise ValueError(f"degree {deg} outside [0, {top}]")
+        for deg, g in entries:
+            if deg < 0 or deg > top_degree:
+                raise ValueError(f"degree {deg} outside [0, {top_degree}]")
             if deg > highest:
                 highest = deg
             elif deg in by_degree:
@@ -66,34 +62,10 @@ class GradedGroup(Value):
             groups[d] = groups[d].direct_sum(g) if d in groups else g
         return cls.from_dict(groups, top_degree)
 
-    @classmethod
-    def from_list(cls, groups: list[AbGroup]) -> "GradedGroup":
-        """Build from a dense list indexed by degree; the top is the last index."""
-        return cls.from_dict(dict(enumerate(groups)), max(len(groups) - 1, 0))
-
     def group(self, degree: int) -> AbGroup:
         return self._by_degree.get(degree, TRIVIAL)
 
-    def as_dict(self) -> dict[int, AbGroup]:
-        return dict(self.entries)
-
     # -- toolkit ------------------------------------------------------------
-
-    def reduced(self) -> "GradedGroup":
-        """Drop the degree-0 Z of a connected space."""
-        if self.group(0) != Z:
-            raise ValueError(f"degree-0 group is {self.group(0)}, expected Z")
-        return GradedGroup(self.top_degree, tuple((d, g) for d, g in self.entries if d != 0))
-
-    def shift(self, r: int, new_top: int) -> "GradedGroup":
-        """Move every group up by r degrees."""
-        if r < 1:
-            raise ValueError("shift amount must be positive")
-        if new_top < self.top_degree + r:
-            raise ValueError(
-                f"new_top {new_top} too small for top {self.top_degree} shifted by {r}"
-            )
-        return GradedGroup(new_top, tuple((d + r, g) for d, g in self.entries))
 
     def euler_characteristic(self) -> int:
         """Alternating sum of free ranks; torsion contributes nothing."""
@@ -111,11 +83,6 @@ class GradedGroup(Value):
             "top": self.top_degree,
             "groups": {str(d): g.to_json() for d, g in self.entries},
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GradedGroup":
-        groups = {int(d): AbGroup.from_json(g) for d, g in data["groups"].items()}
-        return cls.from_dict(groups, int(data["top"]))
 
     def __str__(self) -> str:
         """Case-display rendering, grouping degrees by their group."""

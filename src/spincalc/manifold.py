@@ -85,7 +85,7 @@ class FreeProduct(Pi1Tag):
         set_field(self, "parts", parts)
 
     def describe(self) -> str:
-        return " * ".join(p.describe() for p in self.parts)
+        return _describe_parts(self.parts, " * ")
 
 
 class DirectProduct(Pi1Tag):
@@ -95,14 +95,15 @@ class DirectProduct(Pi1Tag):
         set_field(self, "parts", parts)
 
     def describe(self) -> str:
-        return " x ".join(f"({p.describe()})" if isinstance(p, (FreeProduct, DirectProduct)) else p.describe() for p in self.parts)
+        return _describe_parts(self.parts, " x ")
 
 
-class UnknownGroup(Pi1Tag):
-    __slots__ = ()
-
-    def describe(self) -> str:
-        return "?"
+def _describe_parts(parts: tuple[Pi1Tag, ...], sep: str) -> str:
+    """The parts joined by sep, each product part (always of the other kind) in parentheses."""
+    return sep.join(
+        f"({p.describe()})" if isinstance(p, (FreeProduct, DirectProduct)) else p.describe()
+        for p in parts
+    )
 
 
 def _combine(kind: type, parts: list[Pi1Tag]) -> Pi1Tag:
@@ -216,10 +217,6 @@ class ManifoldDescriptor(Value):
                 return f
         return None
 
-    def with_fact(self, fact: AxiomFact) -> "ManifoldDescriptor":
-        """Explicit user assertion of an axiomatized fact."""
-        return ManifoldDescriptor(self.expr, self.dim, self.homology, self.pi1, self.facts | {fact})
-
     def is_rational_homology_sphere(self) -> bool:
         """All intermediate groups torsion (free ranks vanish for 0 < i < n)."""
         return all(g.rank == 0 for d, g in self.homology.entries if 0 < d < self.dim)
@@ -280,17 +277,6 @@ def homological_connectivity(homology: GradedGroup, pi1: Pi1Tag) -> int:
 
 
 # -- rules on descriptors ------------------------------------------------------
-
-
-def punctured_homology(m: ManifoldDescriptor) -> GradedGroup:
-    """Homology of the manifold minus an open top-dimensional disk.
-
-    Removing the disk kills exactly the orientation class: H_i is
-    unchanged for i <= dim-1 and trivial at the top.
-    """
-    return GradedGroup(
-        m.dim, tuple((d, g) for d, g in m.homology.entries if d < m.dim)
-    )
 
 
 def middle_torsion(m: ManifoldDescriptor) -> AbGroup:

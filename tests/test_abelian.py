@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,8 +141,8 @@ class TestDirectSum:
 
     @given(small_groups, small_groups)
     def test_order_multiplies_for_finite_groups(self, a, b):
-        if a.is_finite and b.is_finite:
-            assert a.direct_sum(b).order() == a.order() * b.order()
+        if a.rank == 0 and b.rank == 0:
+            assert prod(a.direct_sum(b).factors) == prod(a.factors) * prod(b.factors)
 
 
 class TestTensorAndTor:
@@ -173,12 +173,8 @@ class TestQueries:
         assert Z.is_cyclic_of_order() is None
         assert TRIVIAL.is_cyclic_of_order() is None
 
-    def test_torsion_and_order(self):
-        g = normalize([6], 2)
-        assert g.torsion() == cyclic(6)
-        assert g.order() is None
-        assert cyclic(6).order() == 6
-        assert TRIVIAL.order() == 1
+    def test_torsion(self):
+        assert normalize([6], 2).torsion() == cyclic(6)
 
 
 class TestRendering:
@@ -193,7 +189,3 @@ class TestRendering:
     )
     def test_str(self, g, text):
         assert str(g) == text
-
-    @given(small_groups)
-    def test_json_round_trip(self, g):
-        assert AbGroup.from_json(g.to_json()) == g

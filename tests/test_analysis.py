@@ -35,7 +35,7 @@ from spincalc.construct import (
     surface,
 )
 from spincalc.dsl import evaluate_text
-from spincalc.manifold import ExternallyProvenStronglyChiral, Hyperbolic
+from spincalc.manifold import ExternallyProvenStronglyChiral, Hyperbolic, ManifoldDescriptor
 from spincalc.residues import (
     MR_EXACT_BOUND,
     factorize,
@@ -217,7 +217,8 @@ class TestChirality:
 
     def test_external_fact_certifies(self):
         m = product(dehn_rhs(7), evaluate_text("E(1,7)"))
-        m = m.with_fact(ExternallyProvenStronglyChiral("product criterion, external"))
+        fact = ExternallyProvenStronglyChiral("product criterion, external")
+        m = ManifoldDescriptor(m.expr, m.dim, m.homology, m.pi1, m.facts | {fact})
         verdict = chirality_verdict(m)
         assert verdict.kind == PROVEN_STRONGLY_CHIRAL
         assert any("external" in step for step in verdict.trace)
@@ -241,7 +242,10 @@ class TestChirality:
         )
 
     def test_contradictory_fact_raises(self):
-        m = sphere(3).with_fact(ExternallyProvenStronglyChiral("bogus"))
+        m = sphere(3)
+        m = ManifoldDescriptor(
+            m.expr, m.dim, m.homology, m.pi1, m.facts | {ExternallyProvenStronglyChiral("bogus")}
+        )
         with pytest.raises(ValueError):
             chirality_verdict(m)
 
@@ -328,7 +332,8 @@ class TestDegreeSets:
     def test_hyperbolic_fact_bounds(self):
         m = pipeline_main(1, 7)
         before = degree_set(m)
-        after = degree_set(m.with_fact(Hyperbolic()))
+        hyperbolic = ManifoldDescriptor(m.expr, m.dim, m.homology, m.pi1, m.facts | {Hyperbolic()})
+        after = degree_set(hyperbolic)
         # adding a fact only ever shrinks the bound; here the chirality
         # certificate tightens the simplicial-volume bound further
         assert before.upper_bound.kind == "unknown"

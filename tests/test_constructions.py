@@ -38,13 +38,13 @@ from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
 class TestSphere:
     def test_three_sphere(self):
         s = sphere(3)
-        assert s.homology.as_dict() == {0: Z, 3: Z}
+        assert dict(s.homology.entries) == {0: Z, 3: Z}
         assert s.pi1 == Trivial()
         assert s.connectivity == 2
 
     def test_circle(self):
         s = sphere(1)
-        assert s.homology.as_dict() == {0: Z, 1: Z}
+        assert dict(s.homology.entries) == {0: Z, 1: Z}
         assert s.pi1 == FreeAbelian(1)
 
     def test_euler_characteristic_odd(self):
@@ -64,7 +64,7 @@ class TestLens:
         assert check_poincare_duality(m.homology, 7)
 
     def test_three_dimensional(self):
-        assert lens(2, 3).homology == GradedGroup.from_list([Z, cyclic(2), cyclic(1), Z])
+        assert lens(2, 3).homology == GradedGroup.from_dict({0: Z, 1: cyclic(2), 3: Z}, 3)
 
     def test_middle_cohomology_torsion(self):
         for m_idx, p in [(0, 3), (1, 5), (2, 7)]:
@@ -79,7 +79,7 @@ class TestLens:
 
 class TestHyperbolicGenerators:
     def test_dehn_homology(self):
-        assert dehn_rhs(7).homology == GradedGroup.from_list([Z, cyclic(14), cyclic(1), Z])
+        assert dehn_rhs(7).homology == GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
         assert dehn_rhs(3).homology.group(1) == cyclic(6)
 
     def test_dehn_rejects_composite(self):
@@ -93,24 +93,24 @@ class TestHyperbolicGenerators:
 
     def test_ihs3(self):
         m = ihs3()
-        assert m.homology.as_dict() == {0: Z, 3: Z}
+        assert dict(m.homology.entries) == {0: Z, 3: Z}
         assert m.homology.euler_characteristic() == 0
 
     def test_spin_of_ihs3_upper_degrees(self):
         spun = spin(4, ihs3())
-        assert spun.homology.as_dict() == {0: Z, 7: Z}
+        assert dict(spun.homology.entries) == {0: Z, 7: Z}
 
 
 class TestBundle:
     def test_gysin_torsion(self):
         e1 = bundle(1, 7)
-        assert e1.cohomology().as_dict() == {0: Z, 4: cyclic(14), 7: Z}
-        assert e1.homology.as_dict() == {0: Z, 3: cyclic(14), 7: Z}
+        assert dict(e1.cohomology().entries) == {0: Z, 4: cyclic(14), 7: Z}
+        assert dict(e1.homology.entries) == {0: Z, 3: cyclic(14), 7: Z}
 
     def test_circle_bundle_over_two_sphere(self):
         e0 = bundle(0, 7)
         assert e0.dim == 3
-        assert e0.homology == GradedGroup.from_list([Z, cyclic(14), cyclic(1), Z])
+        assert e0.homology == GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
         assert e0.pi1 == FiniteCyclic(14)
 
     def test_unit_euler_multiple(self):
@@ -125,15 +125,15 @@ class TestBundle:
 
 def graded_groups_built(monkeypatch, build) -> int:
     """How many GradedGroups ``build()`` constructs."""
-    post_init = GradedGroup.__post_init__
+    init = GradedGroup.__init__
     count = 0
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         nonlocal count
         count += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GradedGroup, "__post_init__", counting)
+    monkeypatch.setattr(GradedGroup, "__init__", counting)
     build()
     return count
 
@@ -145,7 +145,7 @@ class TestSpin:
 
     def test_four_spin_of_dehn(self):
         spun = spin(4, dehn_rhs(7))
-        assert spun.homology.as_dict() == {0: Z, 1: cyclic(14), 5: cyclic(14), 7: Z}
+        assert dict(spun.homology.entries) == {0: Z, 1: cyclic(14), 5: cyclic(14), 7: Z}
 
     def test_spin_of_sphere_is_bigger_sphere(self):
         assert spin(3, sphere(4)).homology == sphere(7).homology
@@ -203,7 +203,7 @@ class TestSpin:
 class TestConnectedSum:
     def test_main_theorem_shape(self):
         m = connected_sum(bundle(1, 7), spin(4, dehn_rhs(7)))
-        assert m.homology.as_dict() == {
+        assert dict(m.homology.entries) == {
             0: Z, 1: cyclic(14), 3: cyclic(14), 5: cyclic(14), 7: Z
         }
 
@@ -252,7 +252,7 @@ class TestConnectedSum:
 class TestProduct:
     def test_free_kunneth(self):
         m = product(sphere(2), sphere(3))
-        assert m.homology.as_dict() == {0: Z, 2: Z, 3: Z, 5: Z}
+        assert dict(m.homology.entries) == {0: Z, 2: Z, 3: Z, 5: Z}
 
     def test_against_brute_force_expansion(self):
         rng = random.Random(5)
@@ -345,9 +345,7 @@ class TestPipelines:
         assert pipeline_main(1, 7).homology == GradedGroup.from_dict(
             {0: Z, 1: cyclic(14), 3: cyclic(14), 5: cyclic(14), 7: Z}, 7
         )
-        assert pipeline_main(0, 3).homology == GradedGroup.from_list(
-            [Z, cyclic(6), cyclic(1), Z]
-        )
+        assert pipeline_main(0, 3).homology == GradedGroup.from_dict({0: Z, 1: cyclic(6), 3: Z}, 3)
         m2 = pipeline_main(2, 11)
         assert m2.dim == 11
         assert {d for d, g in m2.homology.entries if g == cyclic(22)} == {1, 5, 9}
@@ -359,7 +357,7 @@ class TestPipelines:
         assert pipeline_main2(0, 3).homology.group(1) == cyclic(6)
         m2 = pipeline_main2(2, 3)
         assert m2.dim == 11
-        assert m2.homology.as_dict() == {0: Z, 5: cyclic(6), 11: Z}
+        assert dict(m2.homology.entries) == {0: Z, 5: cyclic(6), 11: Z}
 
     def test_pi1_is_the_hyperbolic_generator(self):
         m = pipeline_main(2, 7)

@@ -10,19 +10,20 @@ import spincalc
 from spincalc import cli, manifold
 from spincalc.abelian import Z, cyclic, free
 from spincalc.construct import bundle, cp, dehn_rhs, ihs3, sphere, spin
+from spincalc.dsl import evaluate_text
 from spincalc.graded import GradedGroup
 from spincalc.manifold import (
     DirectProduct,
     FiniteCyclic,
+    FreeAbelian,
     FreeProduct,
     Hyperbolic,
     InvalidDescriptor,
+    SurfaceGroup,
     Trivial,
-    UnknownGroup,
     direct_product,
     free_product,
     make_descriptor,
-    punctured_homology,
     validate_realizability,
 )
 
@@ -45,22 +46,33 @@ class TestPi1Tags:
         tag = direct_product(FiniteCyclic(2), FiniteCyclic(3))
         assert tag == DirectProduct((FiniteCyclic(2), FiniteCyclic(3)))
 
+    def test_a_product_inside_the_other_kind_is_parenthesized(self):
+        z3 = direct_product(FreeAbelian(1), FreeAbelian(1), FreeAbelian(1))
+        assert free_product(z3, FiniteCyclic(3)).describe() == "(Z x Z x Z) * Z_3"
+        z_z2 = free_product(FreeAbelian(1), FiniteCyclic(2))
+        assert direct_product(FiniteCyclic(3), z_z2).describe() == "Z_3 x (Z * Z_2)"
+        nested = free_product(direct_product(FiniteCyclic(2), z_z2), FiniteCyclic(5))
+        assert nested.describe() == "(Z_2 x (Z * Z_2)) * Z_5"
+        assert evaluate_text("csum(prod(S(1),prod(S(1),S(1))),L(3,3))").pi1.describe() == (
+            "(Z x Z x Z) * Z_3"
+        )
+
 
 class TestDescriptorInvariants:
     def test_rejects_duality_failure(self):
         h = GradedGroup.from_dict({0: Z, 1: cyclic(3), 4: Z}, 4)
         with pytest.raises(InvalidDescriptor):
-            make_descriptor("test", 4, h, UnknownGroup())
+            make_descriptor("test", 4, h, SurfaceGroup(2))
 
     def test_rejects_wrong_top_degree(self):
         h = GradedGroup.from_dict({0: Z, 3: Z}, 4)
         with pytest.raises(InvalidDescriptor, match="^duality fails: top degree 4 != dimension 3"):
-            make_descriptor("test", 3, h, UnknownGroup())
+            make_descriptor("test", 3, h, SurfaceGroup(2))
 
     def test_rejects_non_connected_h0(self):
         h = GradedGroup.from_dict({0: free(2), 3: Z}, 3)
         with pytest.raises(InvalidDescriptor, match="^duality fails: H_0 = Z\\^2"):
-            make_descriptor("test", 3, h, UnknownGroup())
+            make_descriptor("test", 3, h, SurfaceGroup(2))
 
     def test_rejects_trivial_pi1_with_h1(self):
         h = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)
@@ -70,14 +82,14 @@ class TestDescriptorInvariants:
     def test_facts_is_keyword_only(self):
         h = GradedGroup.from_dict({0: Z, 3: Z}, 3)
         with pytest.raises(TypeError):
-            make_descriptor("test", 3, h, UnknownGroup(), frozenset({Hyperbolic()}))
-        m = make_descriptor("test", 3, h, UnknownGroup(), facts=frozenset({Hyperbolic()}))
+            make_descriptor("test", 3, h, SurfaceGroup(2), frozenset({Hyperbolic()}))
+        m = make_descriptor("test", 3, h, SurfaceGroup(2), facts=frozenset({Hyperbolic()}))
         assert m.has_fact(Hyperbolic)
 
     def test_connectivity_is_derived(self):
         h = GradedGroup.from_dict({0: Z, 3: cyclic(3), 7: Z}, 7)
         assert make_descriptor("test", 7, h, Trivial()).connectivity == 2
-        assert make_descriptor("test", 7, h, UnknownGroup()).connectivity == 0
+        assert make_descriptor("test", 7, h, SurfaceGroup(2)).connectivity == 0
         for n in (2, 3, 7, 400):
             assert sphere(n).connectivity == n - 1
         for n in (1, 2, 5):
@@ -99,36 +111,17 @@ class TestDescriptorInvariants:
         assert spin(1, spin(2, base)).pi1 == base.pi1
 
 
-class TestPuncturedHomology:
-    def test_rhs3(self):
-        n7 = dehn_rhs(7)
-        assert punctured_homology(n7).as_dict() == {0: Z, 1: cyclic(14)}
-
-    def test_sphere_gives_disk(self):
-        assert punctured_homology(sphere(5)).as_dict() == {0: Z}
-
-    def test_spun_rhs_cross_checked_both_routes(self):
-        once = spin(1, dehn_rhs(7))
-        assert punctured_homology(once).as_dict() == {0: Z, 1: cyclic(14), 2: cyclic(14)}
-        # iterating one more spin must agree with the direct rule application
-        twice = spin(1, once)
-        expected = GradedGroup.from_dict(
-            {0: Z, 1: cyclic(14), 2: cyclic(14).direct_sum(cyclic(14)), 3: cyclic(14), 5: Z}, 5
-        )
-        assert twice.homology == expected
-
-
 class TestRealizability:
     def test_antisymmetric_middle_torsion_flagged(self):
         # dimension 5 with cohomology torsion Z_3 at degree 3
         h = GradedGroup.from_dict({0: Z, 2: cyclic(3), 5: Z}, 5)
-        m = make_descriptor("test", 5, h, UnknownGroup())
+        m = make_descriptor("test", 5, h, SurfaceGroup(2))
         codes = [v.code for v in validate_realizability(m)]
         assert codes == ["middle-torsion-cyclic"]
 
     def test_hyperbolic_even_dim_rational_homology_sphere(self):
         h = GradedGroup.from_dict({0: Z, 6: Z}, 6)
-        m = make_descriptor("test", 6, h, UnknownGroup()).with_fact(Hyperbolic())
+        m = make_descriptor("test", 6, h, SurfaceGroup(2), facts=frozenset({Hyperbolic()}))
         codes = {v.code for v in validate_realizability(m)}
         assert codes == {"euler-sign", "hyperbolic-qhs-dim-4k+2"}
 

@@ -44,7 +44,6 @@ from spincalc.manifold import (
     Pi1Tag,
     SurfaceGroup,
     Trivial,
-    UnknownGroup,
     Violation,
 )
 
@@ -58,7 +57,6 @@ SAMPLES = {
     GradedGroup: [(3, ((0, Z), (3, Z))), (4, ((0, Z), (4, Z)))],
     DualityReport: [(False, 1, "torsion"), (False, 2, "torsion")],
     Trivial: [()],
-    UnknownGroup: [()],
     FreeAbelian: [(3,), (2,)],
     FiniteCyclic: [(3,), (2,)],
     HyperbolicThreeManifoldGroup: [(3,), (2,)],
@@ -117,7 +115,7 @@ def test_values_of_different_classes_differ():
     for a, b in [
         (Sphere(3), CP(3)), (Surface(3), DehnRHS(3)),
         (CSum(Sphere(3), Sphere(5)), Prod(Sphere(3), Sphere(5))),
-        (Trivial(), UnknownGroup()), (Hyperbolic(), OddOrderIsometryGroup()),
+        (Trivial(), IHS3()), (Hyperbolic(), OddOrderIsometryGroup()),
     ]:
         assert a != b and not a == b
         assert len({a, b}) == 2
