@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd, prod
 
@@ -173,8 +174,12 @@ class TestQueries:
         assert Z.is_cyclic_of_order() is None
         assert TRIVIAL.is_cyclic_of_order() is None
 
-    def test_torsion(self):
-        assert normalize([6], 2).torsion() == cyclic(6)
+    def test_torsion_and_order(self):
+        g = normalize([6], 2)
+        assert g.torsion() == cyclic(6)
+        assert g.rank > 0
+        assert prod(cyclic(6).factors) == 6
+        assert prod(TRIVIAL.factors) == 1
 
 
 class TestRendering:
@@ -189,3 +194,8 @@ class TestRendering:
     )
     def test_str(self, g, text):
         assert str(g) == text
+
+    @given(small_groups)
+    def test_json_round_trip(self, g):
+        data = json.loads(json.dumps(g.to_json()))
+        assert AbGroup(data["rank"], tuple(data["factors"])) == g

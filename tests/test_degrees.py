@@ -6,6 +6,7 @@ from spincalc.degrees import (
     NONNEGATIVE_UNIT,
     SIGNED_UNIT,
     UNKNOWN_BOUND,
+    DegreeSet,
     _integer_nth_root,
     perfect_powers,
 )
@@ -56,3 +57,25 @@ class TestMeet:
     @given(BOUNDS, BOUNDS)
     def test_commutative(self, a, b):
         assert a.intersect(b) == b.intersect(a)
+
+
+class TestDegreeSetInvariants:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"known_subset": frozenset({0})}, "known_subset must contain 0 and 1"),
+            (
+                {"known_subset": frozenset({-1, 0, 1}), "upper_bound": NONNEGATIVE_UNIT},
+                "known degree -1 outside upper bound",
+            ),
+            ({"exact": True}, "an exact degree set needs a concrete bound"),
+        ],
+        ids=["missing-1", "outside-bound", "exact-unknown"],
+    )
+    def test_init_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DegreeSet(**kwargs)
+
+    def test_defaults_and_an_exact_set_are_accepted(self):
+        assert DegreeSet().known_subset == frozenset({0, 1})
+        assert DegreeSet(frozenset({-1, 0, 1}), SIGNED_UNIT, exact=True).contains_minus_one()

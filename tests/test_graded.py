@@ -1,14 +1,23 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincalc.abelian import Z, cyclic, free, normalize, TRIVIAL
-from spincalc.construct import cp, dehn_rhs, lens, sphere, spin
+from spincalc.abelian import AbGroup, Z, cyclic, free, normalize, TRIVIAL
+from spincalc.construct import cp, dehn_rhs, ihs3, lens, sphere, spin
 from spincalc.dsl import evaluate_text
 from spincalc.graded import (
     GradedGroup,
     check_poincare_duality,
     cohomology_from_homology,
     homology_from_cohomology,
+)
+from spincalc.manifold import (
+    InvalidDescriptor,
+    ManifoldDescriptor,
+    SurfaceGroup,
+    Trivial,
+    homological_connectivity,
 )
 
 from helpers import dense_duality_report
@@ -55,6 +64,41 @@ class TestConstruction:
     def test_from_sum_adds_groups_where_degrees_meet(self):
         g = GradedGroup.from_sum(4, ((0, Z), (2, cyclic(2))), ((2, cyclic(3)), (4, Z)))
         assert g == GradedGroup.from_dict({0: Z, 2: cyclic(6), 4: Z}, 4)
+
+
+class TestShiftAndReduced:
+    """spin(r, M) adds the r-shifted reduced homology of M to its punctured homology."""
+
+    def test_shift_of_reduced_rhs3(self):
+        spun = spin(4, dehn_rhs(7)).homology
+        assert {d: g for d, g in spun.entries if d > 3} == {5: cyclic(14), 7: Z}
+
+    def test_shift_of_trivial_is_trivial(self):
+        # a homology sphere's reduced homology is its top class alone
+        assert spin(2, ihs3()).homology == sphere(5).homology
+
+    def test_shift_rejects_small_top(self):
+        with pytest.raises(ValueError, match=r"^degree 7 outside \[0, 6\]$"):
+            GradedGroup.from_sum(6, (), [(d + 4, g) for d, g in N7.entries[1:]])
+
+    def test_reduced_drops_one_z_at_degree_zero(self):
+        # H_0 = Z is not shifted: H_1 of the 1-spin is the punctured H_1 alone
+        assert spin(1, dehn_rhs(7)).homology.group(1) == cyclic(14)
+
+    def test_reduced_point(self):
+        # a point has trivial reduced homology up to its top degree 0
+        point = GradedGroup.from_dict({0: Z}, 0)
+        assert homological_connectivity(point, Trivial()) == point.top_degree == 0
+
+    def test_reduced_four_sphere(self):
+        assert spin(1, sphere(4)).homology == sphere(5).homology
+        assert dict(spin(3, sphere(4)).homology.entries) == {0: Z, 7: Z}
+
+    def test_reduced_rejects_nonconnected_degree_zero(self):
+        h = GradedGroup.from_dict({0: free(2), 3: Z}, 3)
+        m = ManifoldDescriptor("test", 3, h, SurfaceGroup(2))
+        with pytest.raises(InvalidDescriptor, match="^duality fails: H_0 = Z\\^2"):
+            spin(1, m)
 
 
 class TestEulerCharacteristic:
@@ -225,5 +269,10 @@ class TestUniversalCoefficients:
 
 
 class TestSerialization:
+    def test_json_round_trip(self):
+        data = json.loads(json.dumps(DIM7.to_json()))
+        groups = {int(d): AbGroup(g["rank"], tuple(g["factors"])) for d, g in data["groups"].items()}
+        assert GradedGroup.from_dict(groups, data["top"]) == DIM7
+
     def test_case_display(self):
         assert str(N7) == "Z, for i = 0, 3\nZ_14, for i = 1\n0, otherwise"

@@ -111,6 +111,41 @@ class TestDescriptorInvariants:
         assert spin(1, spin(2, base)).pi1 == base.pi1
 
 
+class TestPuncturedHomology:
+    """Below the dimension of M, spin(r, M) with r >= dim M - 1 is M minus a disk."""
+
+    @staticmethod
+    def punctured(m):
+        spun = spin(m.dim, m).homology
+        return {d: g for d, g in spun.entries if d < m.dim}
+
+    def test_rhs3(self):
+        assert self.punctured(dehn_rhs(7)) == {0: Z, 1: cyclic(14)}
+
+    def test_sphere_gives_disk(self):
+        assert self.punctured(sphere(5)) == {0: Z}
+
+    def test_spun_rhs_cross_checked_both_routes(self):
+        once = spin(1, dehn_rhs(7))
+        assert self.punctured(once) == {0: Z, 1: cyclic(14), 2: cyclic(14)}
+        # iterating one more spin must agree with the direct rule application
+        twice = spin(1, once)
+        expected = GradedGroup.from_dict(
+            {0: Z, 1: cyclic(14), 2: cyclic(14).direct_sum(cyclic(14)), 3: cyclic(14), 5: Z}, 5
+        )
+        assert twice.homology == expected
+
+    def test_spin_is_punctured_plus_shifted_reduced(self):
+        for i, (_, m) in enumerate(corpus(2024, 200)):
+            if m.dim < 2:  # spin needs dimension >= 2
+                continue
+            r = 1 + i % 5
+            spun = spin(r, m).homology
+            punctured = [(d, g) for d, g in m.homology.entries if d < m.dim]
+            shifted = [(d + r, g) for d, g in m.homology.entries if d > 0]
+            assert spun == GradedGroup.from_sum(m.dim + r, punctured, shifted), m.expr
+
+
 class TestRealizability:
     def test_antisymmetric_middle_torsion_flagged(self):
         # dimension 5 with cohomology torsion Z_3 at degree 3
