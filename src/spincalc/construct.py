@@ -11,12 +11,13 @@ import itertools
 from typing import ClassVar
 
 from ._value import Value, set_field
-from .abelian import AbGroup, Z, cyclic, free, kunneth_terms, normalize
+from .abelian import Z, cyclic, free, kunneth_terms, normalize
 from .degrees import ALL_INTEGERS, exact_set
 from .graded import GradedGroup, homology_from_cohomology
 from .manifold import (
     FiniteCyclic,
     FreeAbelian,
+    FreeGroup,
     Hyperbolic,
     HyperbolicThreeManifoldGroup,
     KnownDegreeSet,
@@ -149,12 +150,8 @@ _IHS3_FACTS = frozenset({Hyperbolic()})
 def sphere(n: int) -> ManifoldDescriptor:
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    if n == 1:
-        homology = GradedGroup.from_dict({0: Z, 1: Z}, 1)
-        pi1 = FreeAbelian(1)
-    else:
-        homology = GradedGroup.from_dict({0: Z, n: Z}, n)
-        pi1 = Trivial()
+    homology = GradedGroup(n, ((0, Z), (n, Z)))
+    pi1 = FreeAbelian(1) if n == 1 else Trivial()
     return make_descriptor(Sphere(n), n, homology, pi1, facts=_SPHERE_FACTS)
 
 
@@ -162,14 +159,14 @@ def cp(n: int) -> ManifoldDescriptor:
     """Complex projective n-space: Z in every even degree up to 2n."""
     if n < 1:
         raise ValueError(f"CP index must be >= 1, got {n}")
-    homology = GradedGroup.from_dict({2 * i: Z for i in range(n + 1)}, 2 * n)
+    homology = GradedGroup(2 * n, tuple([(d, Z) for d in range(0, 2 * n + 1, 2)]))
     return make_descriptor(CP(n), 2 * n, homology, Trivial())
 
 
 def surface(genus: int) -> ManifoldDescriptor:
     if genus < 2:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
-    homology = GradedGroup.from_dict({0: Z, 1: free(2 * genus), 2: Z}, 2)
+    homology = GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z)))
     return make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus))
 
 
@@ -179,9 +176,8 @@ def lens(p: int, dim: int) -> ManifoldDescriptor:
         raise ValueError(f"lens order must be >= 2, got {p}")
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"lens dimension must be odd and >= 3, got {dim}")
-    groups: dict[int, AbGroup] = {0: Z, dim: Z}
-    groups.update(dict.fromkeys(range(1, dim - 1, 2), cyclic(p)))
-    homology = GradedGroup.from_dict(groups, dim)
+    torsion = cyclic(p)
+    homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
     return make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p))
 
 
@@ -194,7 +190,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     """
     if not is_prime(p):
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
-    homology = GradedGroup.from_dict({0: Z, 1: cyclic(2 * p), 3: Z}, 3)
+    homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
     return make_descriptor(
         DehnRHS(p), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
@@ -204,7 +200,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
 
 def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
-    homology = GradedGroup.from_dict({0: Z, 3: Z}, 3)
+    homology = GradedGroup(3, ((0, Z), (3, Z)))
     return make_descriptor(
         IHS3(), 3, homology,
         HyperbolicThreeManifoldGroup(next(_generator_ids)),
@@ -223,9 +219,7 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     if d == 0:
         raise ValueError("Euler multiple must be nonzero (use prod for the trivial bundle)")
     dim = 4 * m + 3
-    cohomology = GradedGroup.from_dict(
-        {0: Z, 2 * m + 2: cyclic(2 * abs(d)), dim: Z}, dim
-    )
+    cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
     homology = homology_from_cohomology(cohomology, dim)
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
     return make_descriptor(Bundle(m, d), dim, homology, pi1)
@@ -250,7 +244,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
         raise ValueError(f"cannot spin a manifold of dimension {m.dim}")
     pi1 = m.pi1
     if m.dim == 2 and not isinstance(pi1, Trivial):
-        pi1 = free_product(*[FreeAbelian(1)] * (2 * _surface_genus(m)))
+        pi1 = FreeGroup(2 * _surface_genus(m))
     new_dim = m.dim + r
     entries = m.homology.entries
     homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])

@@ -7,7 +7,7 @@ manifold).  Trivial entries are pruned so equality is canonical.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 
 from ._value import Value, set_field
 from .abelian import AbGroup, TRIVIAL, Z
@@ -53,14 +53,25 @@ class GradedGroup(Value):
     def from_sum(
         cls,
         top_degree: int,
-        first: Iterable[tuple[int, AbGroup]],
-        second: Iterable[tuple[int, AbGroup]],
+        first: Sequence[tuple[int, AbGroup]],
+        second: Sequence[tuple[int, AbGroup]],
     ) -> "GradedGroup":
-        """Two sequences of (degree, group) entries, added where their degrees meet."""
-        groups: dict[int, AbGroup] = dict(first)
+        """Two sorted sequences of (degree, group) entries, added where their degrees meet.
+
+        One merge of the two: a degree in only one of them keeps its group.
+        """
+        out: list[tuple[int, AbGroup]] = []
+        i, k = 0, len(first)
         for d, g in second:
-            groups[d] = groups[d].direct_sum(g) if d in groups else g
-        return cls.from_dict(groups, top_degree)
+            while i < k and first[i][0] < d:
+                out.append(first[i])
+                i += 1
+            if i < k and first[i][0] == d:
+                g = first[i][1].direct_sum(g)
+                i += 1
+            out.append((d, g))
+        out.extend(first[i:])
+        return cls(top_degree, tuple(out))
 
     def group(self, degree: int) -> AbGroup:
         return self._by_degree.get(degree, TRIVIAL)
@@ -88,12 +99,15 @@ class GradedGroup(Value):
         """Case-display rendering, grouping degrees by their group."""
         if not self.entries:
             return "0 for all i"
+        # entries are sorted, so groups enter the dict in the order of their
+        # first degree; a run of one group object costs one dict lookup
         by_group: dict[AbGroup, list[int]] = {}
+        last, degs = None, []
         for d, g in self.entries:
-            by_group.setdefault(g, []).append(d)
-        lines = []
-        for g, degs in sorted(by_group.items(), key=lambda kv: kv[1][0]):
-            lines.append(f"{g}, for i = {', '.join(map(str, degs))}")
+            if g is not last:
+                last, degs = g, by_group.setdefault(g, [])
+            degs.append(d)
+        lines = [f"{g}, for i = {', '.join(map(str, degs))}" for g, degs in by_group.items()]
         lines.append("0, otherwise")
         return "\n".join(lines)
 
@@ -162,20 +176,29 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
 
 
 def _free_plus_shifted_torsion(g: GradedGroup, n: int, shift: int) -> GradedGroup:
-    """Degree i gets Z^rank(g_i) + Tor(g_{i-shift}), for 0 <= i <= n.
+    """Degree i gets Z^rank(g_i) + Tor(g_{i-shift}), for 0 <= i <= n and shift = +-1.
 
-    Only nonzero entries are visited.  A free rank beside the factors of
-    a single torsion group is already in invariant-factor form, so the
-    groups are built directly, without normalizing.
+    One pass over the nonzero entries, walked in the direction of the
+    shift, so each entry's free part lands in order and its torsion
+    lands next: only the free part of the entry that follows can meet
+    it.  A group with one part alone at a degree is the operand's own
+    object.  A free rank beside the factors of a single torsion group is
+    already in invariant-factor form, so nothing is normalized.
     """
-    ranks = {d: e.rank for d, e in g.entries if e.rank and d <= n}
-    torsion = {
-        d + shift: e.factors for d, e in g.entries if e.factors and d <= n and 0 <= d + shift <= n
-    }
-    return GradedGroup.from_dict(
-        {d: AbGroup(ranks.get(d, 0), torsion.get(d, ())) for d in ranks.keys() | torsion.keys()},
-        n,
-    )
+    out: list[tuple[int, AbGroup]] = []
+    for d, e in g.entries if shift > 0 else reversed(g.entries):
+        if d > n:
+            continue
+        if e.rank:
+            if out and out[-1][0] == d:
+                out[-1] = (d, AbGroup(e.rank, out[-1][1].factors))
+            else:
+                out.append((d, e if not e.factors else AbGroup(e.rank)))
+        if e.factors and 0 <= d + shift <= n:
+            out.append((d + shift, e if not e.rank else e.torsion()))
+    if shift < 0:
+        out.reverse()
+    return GradedGroup(n, tuple(out))
 
 
 def cohomology_from_homology(h: GradedGroup, n: int) -> GradedGroup:

@@ -78,6 +78,21 @@ class SurfaceGroup(Pi1Tag):
         return f"pi_1(Sigma_{self.genus})"
 
 
+class FreeGroup(Pi1Tag):
+    """The free group of a rank >= 2, the free product of that many copies of Z.
+
+    Its text is built only when it is described.
+    """
+
+    __slots__ = __match_args__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        set_field(self, "rank", rank)
+
+    def describe(self) -> str:
+        return " * ".join(["Z"] * self.rank)
+
+
 class FreeProduct(Pi1Tag):
     __slots__ = __match_args__ = ("parts",)
 
@@ -99,28 +114,41 @@ class DirectProduct(Pi1Tag):
 
 
 def _describe_parts(parts: tuple[Pi1Tag, ...], sep: str) -> str:
-    """The parts joined by sep, each product part (always of the other kind) in parentheses."""
-    return sep.join(
-        f"({p.describe()})" if isinstance(p, (FreeProduct, DirectProduct)) else p.describe()
-        for p in parts
-    )
+    """The parts joined by sep, each product of the other kind in parentheses.
+
+    A free group counts as a free product.
+    """
+    other = DirectProduct if sep == " * " else (FreeProduct, FreeGroup)
+    return sep.join(f"({p.describe()})" if isinstance(p, other) else p.describe() for p in parts)
 
 
 def _combine(kind: type, parts: list[Pi1Tag]) -> Pi1Tag:
-    """Flatten nested products of the same kind and absorb trivial factors."""
+    """Flatten nested products of the same kind and absorb trivial factors.
+
+    In a free product, each run of adjacent free factors (copies of Z and
+    free groups) becomes one free group.
+    """
     flat: list[Pi1Tag] = []
     for p in parts:
-        if isinstance(p, Trivial):
-            continue
-        if isinstance(p, kind):
-            flat.extend(p.parts)  # type: ignore[attr-defined]
-        else:
-            flat.append(p)
+        for q in p.parts if isinstance(p, kind) else (p,):  # type: ignore[attr-defined]
+            if isinstance(q, Trivial):
+                continue
+            if kind is FreeProduct and flat and _free_rank(q) and _free_rank(flat[-1]):
+                flat[-1] = FreeGroup(_free_rank(flat[-1]) + _free_rank(q))
+            else:
+                flat.append(q)
     if not flat:
         return Trivial()
     if len(flat) == 1:
         return flat[0]
     return kind(tuple(flat))
+
+
+def _free_rank(tag: Pi1Tag) -> int:
+    """The rank of a free group tag, Z counting as rank 1; 0 for any other tag."""
+    if isinstance(tag, FreeGroup):
+        return tag.rank
+    return 1 if isinstance(tag, FreeAbelian) and tag.rank == 1 else 0
 
 
 def free_product(*parts: Pi1Tag) -> Pi1Tag:

@@ -11,7 +11,7 @@ import random
 from math import gcd, lcm, prod
 
 from spincalc import construct
-from spincalc.abelian import Z
+from spincalc.abelian import Z, normalize
 from spincalc.construct import (
     CP,
     Bundle,
@@ -26,6 +26,7 @@ from spincalc.construct import (
     Surface,
 )
 from spincalc.dsl import EXPR, KINDS, evaluate
+from spincalc.graded import GradedGroup
 from spincalc.manifold import Trivial
 from spincalc.residues import MR_EXACT_BOUND, is_prime
 
@@ -122,6 +123,17 @@ def dense_duality_report(h, n: int) -> tuple[bool, int | None, str]:
                 f"torsion of H_{i} is {h.group(i).torsion()} but H_{j} has {h.group(j).torsion()}",
             )
     return True, None, ""
+
+
+def dense_cohomology(h, n: int):
+    """Integral cohomology H^i = Z^rank(H_i) + Tor(H_{i-1}) of a GradedGroup, for 0 <= i <= n.
+
+    Walks every degree 0..n through ``group``, so it checks the one-pass
+    walk of ``graded.cohomology_from_homology`` without sharing it.
+    """
+    # H_{-1} is trivial: ``group`` gives the trivial group off the entries
+    groups = {i: normalize(h.group(i - 1).factors, h.group(i).rank) for i in range(n + 1)}
+    return GradedGroup.from_dict(groups, n)
 
 
 def dense_connectivity(m) -> int:

@@ -221,6 +221,22 @@ class TestChirality:
         assert payload["verdict"] == "admits_degree_minus_one"
 
 
+@pytest.mark.parametrize(
+    "command, answer",
+    [
+        ("chirality", "{}: admits a self-map of degree -1"),
+        ("degrees", "D({}) = Z (all integers)"),
+        ("validate", "{}: ok"),
+    ],
+    ids=["chirality", "degrees", "validate"],
+)
+def test_a_spun_surface_of_huge_genus_is_answered(capsys, command, answer):
+    # its pi_1 is free of rank 2g, far more factors than a list could hold
+    line = "spin(1,Sigma(3000000000000000000000001))"
+    status, out, err = run(capsys, command, line)
+    assert (status, out.splitlines()[0], err) == (0, answer.format(line), "")
+
+
 class TestDegrees:
     def test_all_integers(self, capsys):
         status, out, _ = run(

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from spincalc.manifold import (
     homological_connectivity,
 )
 
-from helpers import dense_duality_report
+from helpers import corpus, dense_cohomology, dense_duality_report
 
 N7 = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)  # rational homology 3-sphere
 DIM7 = GradedGroup.from_dict(
@@ -261,6 +262,60 @@ class TestUniversalCoefficients:
             cases.append((m.homology, m.dim))
         for h, n in cases:
             assert homology_from_cohomology(cohomology_from_homology(h, n), n) == h, n
+
+    @staticmethod
+    def check_against_dense_reference(h, n):
+        c = cohomology_from_homology(h, n)
+        assert c == dense_cohomology(h, n)
+        if h.group(0).factors and n >= 1:
+            # Tor H_0 lands in H^1, which has no homological preimage
+            with pytest.raises(ValueError):
+                homology_from_cohomology(c, n)
+        else:
+            assert dense_cohomology(homology_from_cohomology(c, n), n) == c
+
+    @settings(max_examples=400, deadline=None)
+    @given(graded_and_dimension())
+    def test_one_pass_matches_dense_reference(self, case):
+        self.check_against_dense_reference(*case)
+
+    def test_corpus_matches_dense_reference(self):
+        for _, m in corpus(2024, 1000):
+            self.check_against_dense_reference(m.homology, m.dim)
+
+    @pytest.mark.parametrize(
+        "build, hashes, text",
+        [
+            (
+                lambda: lens(7, 301), 3,
+                f"Z, for i = 0, 301\nZ_7, for i = {', '.join(map(str, range(1, 300, 2)))}",
+            ),
+            (lambda: cp(150), 1, f"Z, for i = {', '.join(map(str, range(0, 301, 2)))}"),
+        ],
+        ids=["L(7,301)", "CP(150)"],
+    )
+    def test_dense_groups_reuse_the_operands_groups(self, build, hashes, text, monkeypatch):
+        m = build()
+        counts = Counter()
+        init, hash_ = AbGroup.__init__, AbGroup.__hash__
+
+        def counting_init(self, *args):
+            counts["init"] += 1
+            init(self, *args)
+
+        def counting_hash(self):
+            counts["hash"] += 1
+            return hash_(self)
+
+        monkeypatch.setattr(AbGroup, "__init__", counting_init)
+        monkeypatch.setattr(AbGroup, "__hash__", counting_hash)
+        c = cohomology_from_homology(m.homology, m.dim)
+        assert counts["init"] == 0
+        # one hash per run of one group object in adjacent entries
+        assert str(m.homology) == text + "\n0, otherwise"
+        assert counts["hash"] <= hashes
+        monkeypatch.undo()
+        assert c == dense_cohomology(m.homology, m.dim)
 
     def test_rejects_low_degree_cohomology_torsion(self):
         c = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spincalc
-from spincalc import cli, manifold
+from spincalc import cli, construct, manifold
 from spincalc.abelian import Z, cyclic, free
 from spincalc.construct import bundle, cp, dehn_rhs, ihs3, sphere, spin
 from spincalc.dsl import evaluate_text
@@ -16,6 +17,7 @@ from spincalc.manifold import (
     DirectProduct,
     FiniteCyclic,
     FreeAbelian,
+    FreeGroup,
     FreeProduct,
     Hyperbolic,
     InvalidDescriptor,
@@ -45,6 +47,24 @@ class TestPi1Tags:
     def test_direct_product_keeps_order(self):
         tag = direct_product(FiniteCyclic(2), FiniteCyclic(3))
         assert tag == DirectProduct((FiniteCyclic(2), FiniteCyclic(3)))
+
+    def test_adjacent_free_factors_make_one_free_group(self):
+        assert free_product(FreeAbelian(1), FreeAbelian(1)) == FreeGroup(2)
+        tag = free_product(FreeAbelian(1), FreeGroup(2), FiniteCyclic(2), FreeAbelian(1))
+        assert tag == FreeProduct((FreeGroup(3), FiniteCyclic(2), FreeAbelian(1)))
+        assert free_product(tag, FreeGroup(4)) == FreeProduct(
+            (FreeGroup(3), FiniteCyclic(2), FreeGroup(5))
+        )
+
+    def test_the_pi_1_of_a_spun_surface_reads_as_a_free_product(self, monkeypatch):
+        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+        assert evaluate_text("spin(1,Sigma(2))").pi1 == FreeGroup(4)
+        for text, pi1 in [
+            ("spin(1,Sigma(2))", "Z * Z * Z * Z"),
+            ("prod(spin(1,Sigma(2)),S(1))", "(Z * Z * Z * Z) x Z"),
+            ("csum(spin(1,Sigma(2)),N(7))", "Z * Z * Z * Z * pi_1(hyperbolic 3-manifold #1)"),
+        ]:
+            assert evaluate_text(text).pi1.describe() == pi1
 
     def test_a_product_inside_the_other_kind_is_parenthesized(self):
         z3 = direct_product(FreeAbelian(1), FreeAbelian(1), FreeAbelian(1))

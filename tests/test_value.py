@@ -35,6 +35,7 @@ from spincalc.manifold import (
     ExternallyProvenStronglyChiral,
     FiniteCyclic,
     FreeAbelian,
+    FreeGroup,
     FreeProduct,
     Hyperbolic,
     HyperbolicThreeManifoldGroup,
@@ -61,6 +62,7 @@ SAMPLES = {
     FiniteCyclic: [(3,), (2,)],
     HyperbolicThreeManifoldGroup: [(3,), (2,)],
     SurfaceGroup: [(3,), (2,)],
+    FreeGroup: [(4,), (2,)],
     FreeProduct: [((FreeAbelian(1), FiniteCyclic(2)),), ((FreeAbelian(1),),)],
     DirectProduct: [((FreeAbelian(1), FiniteCyclic(2)),), ((FreeAbelian(1),),)],
     Hyperbolic: [()],
