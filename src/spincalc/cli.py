@@ -46,7 +46,8 @@ def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], int]) -> int
     """Run ``handle`` on the expression, or on each stdin line for ``-``, and its descriptor.
 
     One :class:`Memo` serves the call, so each distinct sub-expression of
-    its lines is built once, and it is dropped when the call returns.
+    its lines is built once, and it is dropped when the call returns; the
+    parsed lines stay in the table of the process for the next call.
     In batch mode a line that fails to parse or evaluate, or nests too
     deeply, is reported with its stdin line number and the rest still
     run; the result is the worst status.  A single expression's error goes up to ``main``.

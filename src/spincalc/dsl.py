@@ -15,9 +15,11 @@ class with the kinds of its fields and its construction in
 :func:`evaluate` read that table; the DSL name is the class's ``name``,
 which ``str`` prints, so printing an AST round-trips through :func:`parse`.
 
-A :class:`Memo` lets one command build each distinct sub-expression of
-its lines once: the parser hash-conses the nodes into it, and
-:func:`evaluate` reuses the descriptors of the nodes that repeat.
+The parser hash-conses every node into one table for the whole process,
+and keeps each line it parses in full, so a line is parsed once however
+many commands read it.  A :class:`Memo` lets one command build each
+distinct sub-expression of its lines once: :func:`evaluate` reuses the
+descriptors of the nodes that repeat.
 """
 
 from __future__ import annotations
@@ -64,41 +66,56 @@ _BY_NODE = {kind.node: kind for kind in KINDS}
 _NUMBERED = (construct.DehnRHS, construct.IHS3)
 
 
+# The hash-consing table of the process (Filliatre and Conchon 2006).
+# ``_nodes`` interns every parsed node on (class, ints, child ids), so
+# equal sub-expressions are one object and a node's id stands for its value
+# while the table holds it.  ``_lines`` maps each line parsed in full to its
+# node.  ``_generators`` holds, for each node with any, its number of N and
+# IHS3 leaves.  Parsing draws no generator id, so sharing the table between
+# commands changes no output; :class:`Memo` says when it is emptied.
+TABLE_CAP = 100_000
+_nodes: dict[tuple, ConstructionExpr] = {}
+_lines: dict[str, ConstructionExpr] = {}
+_generators: dict[int, int] = {}
+
+
 class Memo:
     """What one command keeps while it runs its lines; drop it with the command.
 
-    ``nodes`` interns every parsed node on (class, ints, child ids), so
-    equal sub-expressions are one object (hash-consing, Filliatre and
-    Conchon 2006) and a node's id stands for its value while the memo
-    lives.  ``lines`` maps each line parsed to its node.  ``generators``
-    holds, for each node with any, its number of N and IHS3 leaves.
     ``kept`` maps the id of each node evaluated to None after its first
     evaluation and to (descriptor, generators) from its second on: only
     repeated nodes keep a descriptor, so a batch of distinct lines
     retains nothing for the garbage collector to scan.
+
+    Making a memo starts a command, and is the one time the table is
+    emptied, if it holds more than ``TABLE_CAP`` nodes and lines: ``kept``
+    stands on node ids, which must not be reused while it lives.  So use
+    one memo at a time.
     """
 
-    __slots__ = ("nodes", "lines", "generators", "kept")
+    __slots__ = ("kept",)
 
     def __init__(self) -> None:
-        self.nodes: dict[tuple, ConstructionExpr] = {}
-        self.lines: dict[str, ConstructionExpr] = {}
-        self.generators: dict[int, int] = {}
+        if len(_nodes) + len(_lines) > TABLE_CAP:
+            _nodes.clear()
+            _lines.clear()
+            _generators.clear()
         self.kept: dict[int, tuple[ManifoldDescriptor, int] | None] = {}
 
-    def intern(self, kind: Kind, args: list) -> ConstructionExpr:
-        """The one node equal to ``kind.node(*args)``, whose children are interned."""
-        key = (kind.node, *[id(a) if f == EXPR else a for f, a in zip(kind.fields, args)])
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = kind.node(*args)
-            count = kind.node in _NUMBERED
-            for field, arg in zip(kind.fields, args):
-                if field == EXPR:
-                    count += self.generators.get(id(arg), 0)
-            if count:
-                self.generators[id(node)] = count
-        return node
+
+def _intern(kind: Kind, args: list) -> ConstructionExpr:
+    """The one node equal to ``kind.node(*args)``, whose children are interned."""
+    key = (kind.node, *[id(a) if f == EXPR else a for f, a in zip(kind.fields, args)])
+    node = _nodes.get(key)
+    if node is None:
+        node = _nodes[key] = kind.node(*args)
+        count = kind.node in _NUMBERED
+        for field, arg in zip(kind.fields, args):
+            if field == EXPR:
+                count += _generators.get(id(arg), 0)
+        if count:
+            _generators[id(node)] = count
+    return node
 
 
 class ParseError(ValueError):
@@ -137,11 +154,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, memo: Memo):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.memo = memo
 
     def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -174,27 +190,36 @@ class _Parser:
                     self.expect(",")
                 args.append(self.parse_expr() if field == EXPR else self.parse_int(field == NAT))
             self.expect(")")
-        return self.memo.intern(kind, args)
+        return _intern(kind, args)
 
 
-def parse(text: str, memo: Memo | None = None) -> ConstructionExpr:
-    """The AST of one expression, its nodes interned in ``memo`` (or a fresh one)."""
-    parser = _Parser(text, Memo() if memo is None else memo)
-    expr = parser.parse_expr()
-    kind, trailing, offset = parser.tokens[parser.pos]
-    if kind != "end":
-        raise _error(text, offset, f"unexpected trailing input {trailing!r}")
+def parse(text: str) -> ConstructionExpr:
+    """The AST of one expression, its nodes interned in the table of the process.
+
+    A line parsed in full before is looked up, not parsed again.  A line
+    that fails, even after a prefix that parses, is not kept, so it fails
+    the same way each time.
+    """
+    expr = _lines.get(text)
+    if expr is None:
+        parser = _Parser(text)
+        expr = parser.parse_expr()
+        kind, trailing, offset = parser.tokens[parser.pos]
+        if kind != "end":
+            raise _error(text, offset, f"unexpected trailing input {trailing!r}")
+        _lines[text] = expr
     return expr
 
 
 def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescriptor:
     """Dispatch an AST into the construction calculus.
 
-    With a memo, ``ast`` must come from :func:`parse` with that memo.  A
-    node's descriptor is then kept from its second evaluation on and
-    reused from its third; a reused descriptor gets a fresh id for each
-    N or IHS3 under the node, drawn in source order from
-    ``construct._generator_ids``, exactly the ids a rebuild would draw.
+    With a memo, ``ast`` must come from :func:`parse` after the memo was
+    made, so that the table holds its nodes.  A node's descriptor is then
+    kept from its second evaluation on and reused from its third; a
+    reused descriptor gets a fresh id for each N or IHS3 under the node,
+    drawn in source order from ``construct._generator_ids``, exactly the
+    ids a rebuild would draw.
     """
     if memo is not None:
         kept = memo.kept.get(id(ast))
@@ -213,7 +238,7 @@ def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescrip
     m = getattr(construct, kind.build)(*args)
     if memo is not None:
         seen = id(ast) in memo.kept
-        memo.kept[id(ast)] = (m, memo.generators.get(id(ast), 0)) if seen else None
+        memo.kept[id(ast)] = (m, _generators.get(id(ast), 0)) if seen else None
     return m
 
 
@@ -232,10 +257,7 @@ def _fresh_ids(tag: Pi1Tag) -> Pi1Tag:
 
 
 def evaluate_text(text: str, memo: Memo | None = None) -> ManifoldDescriptor:
-    """Parse and evaluate one expression; with a memo, a line seen before is not parsed again."""
+    """Parse and evaluate one expression, in the command of ``memo`` (or a new one)."""
     if memo is None:
         memo = Memo()
-    ast = memo.lines.get(text)
-    if ast is None:
-        ast = memo.lines[text] = parse(text, memo)
-    return evaluate(ast, memo)
+    return evaluate(parse(text), memo)

@@ -78,10 +78,15 @@ class SurfaceGroup(Pi1Tag):
         return f"pi_1(Sigma_{self.genus})"
 
 
+# the most factors ``FreeGroup.describe`` writes out, about 4 MB of text
+FREE_RANK_LIMIT = 1_000_000
+
+
 class FreeGroup(Pi1Tag):
     """The free group of a rank >= 2, the free product of that many copies of Z.
 
-    Its text is built only when it is described.
+    Its text is built only when it is described, and only up to
+    ``FREE_RANK_LIMIT`` factors.
     """
 
     __slots__ = __match_args__ = ("rank",)
@@ -90,6 +95,11 @@ class FreeGroup(Pi1Tag):
         set_field(self, "rank", rank)
 
     def describe(self) -> str:
+        if self.rank > FREE_RANK_LIMIT:
+            raise ValueError(
+                f"pi_1 is free of rank {self.rank}; a report writes out at most "
+                f"FREE_RANK_LIMIT = {FREE_RANK_LIMIT} factors"
+            )
         return " * ".join(["Z"] * self.rank)
 
 

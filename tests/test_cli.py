@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spincalc
 from spincalc import cli, graded
 from spincalc.cli import main
 from spincalc.manifold import Violation
@@ -235,6 +239,25 @@ def test_a_spun_surface_of_huge_genus_is_answered(capsys, command, answer):
     line = "spin(1,Sigma(3000000000000000000000001))"
     status, out, err = run(capsys, command, line)
     assert (status, out.splitlines()[0], err) == (0, answer.format(line), "")
+
+
+@pytest.mark.parametrize("stdin", [None, "{}\nS(3)\n"], ids=["expression", "batch"])
+def test_eval_of_a_spun_surface_of_huge_genus_exits_2(stdin):
+    """Its pi_1 has more factors than a report writes out: an error, not a traceback."""
+    line = "spin(1,Sigma(3000000000000000000000001))"
+    src = Path(spincalc.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "spincalc.cli", "eval", "-" if stdin else line],
+        input=stdin and stdin.format(line), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+    )
+    prefix = "error: line 1: " if stdin else "error: "
+    assert (result.returncode, result.stderr) == (2, prefix + (
+        "pi_1 is free of rank 6000000000000000000000002; "
+        "a report writes out at most FREE_RANK_LIMIT = 1000000 factors\n"
+    ))
+    if stdin:  # a batch goes on after the line
+        assert result.stdout.startswith("expression:    S(3)\n")
 
 
 class TestDegrees:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spincalc
-from spincalc import cli, construct
+from spincalc import cli, construct, dsl
 from spincalc.construct import (
     CP,
     Bundle,
@@ -24,7 +24,7 @@ from spincalc.construct import (
     Spin,
     Surface,
 )
-from spincalc.dsl import KINDS, Memo, ParseError, evaluate, evaluate_text, parse
+from spincalc.dsl import KINDS, ParseError, evaluate, evaluate_text, parse
 
 from helpers import corpus, random_ast, reference_evaluate
 
@@ -199,16 +199,22 @@ class TestEvaluate:
             evaluate("S(3)")  # a string is not an AST
 
 
+@pytest.fixture
+def empty_table(monkeypatch):
+    """The process's hash-consing table, empty for this test and restored after it."""
+    for name in ("_nodes", "_lines", "_generators"):
+        monkeypatch.setattr(dsl, name, {})
+
+
 class TestMemo:
     """One command builds each distinct sub-expression of its lines once."""
 
-    def test_equal_sub_expressions_are_one_node(self):
-        memo = Memo()
-        ast = parse("csum(spin(1,IHS3),spin(1, IHS3))", memo)
+    def test_equal_sub_expressions_are_one_node(self, empty_table):
+        ast = parse("csum(spin(1,IHS3),spin(1, IHS3))")
         assert ast.left is ast.right
-        assert parse("IHS3", memo) is ast.left.child
-        assert parse("prod(IHS3,N(7))", memo).left is ast.left.child
-        assert len(memo.nodes) == 5  # IHS3, spin, csum, N(7), prod
+        assert parse("IHS3") is ast.left.child
+        assert parse("prod(IHS3,N(7))").left is ast.left.child
+        assert len(dsl._nodes) == 5  # added to the table: IHS3, spin, csum, N(7), prod
 
     def test_repeated_lines_build_each_node_at_most_twice_per_call(self, monkeypatch, capsys):
         calls = {"product": 0, "lens": 0}
@@ -227,7 +233,7 @@ class TestMemo:
             assert capsys.readouterr().out.count("expression:    prod(L(3,101),L(3,101))") == 50
             counts.append(dict(calls))
         assert counts[0]["product"] <= 2 and counts[0]["lens"] <= 2
-        # the second call builds as much again: no state survives a call
+        # the second call builds as much again: no descriptor survives a call
         assert counts[1] == {name: 2 * n for name, n in counts[0].items()}
 
     def test_a_reused_descriptor_gets_fresh_generator_ids(self, monkeypatch, capsys):
@@ -254,22 +260,99 @@ def oracle_batch() -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["eval", "-"], ["eval", "-", "--json"], ["chirality", "-"], ["degrees", "-"], ["validate", "-"]],
-    ids=" ".join,
-)
-def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkeypatch, capsys):
-    """Stdout, stderr and exit code, generator ids included, as if nothing were kept."""
+BATCH_COMMANDS = [
+    ["eval", "-"], ["eval", "-", "--json"], ["chirality", "-"], ["degrees", "-"], ["validate", "-"]
+]
 
-    def run() -> tuple[int, str, str]:
-        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
-        monkeypatch.setattr("sys.stdin", io.StringIO(oracle_batch))
+
+def run_commands(monkeypatch, capsys, batch: str, commands: list[list[str]]) -> list[tuple]:
+    """(exit code, stdout, stderr) of each command on ``batch``, in one process, ids from 1."""
+    monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+    results = []
+    for argv in commands:
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
         status = cli.main(argv)
         out = capsys.readouterr()
-        return status, out.out, out.err
+        results.append((status, out.out, out.err))
+    return results
 
-    memoized = run()
+
+@pytest.mark.parametrize("argv", BATCH_COMMANDS, ids=" ".join)
+def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkeypatch, capsys):
+    """Stdout, stderr and exit code, generator ids included, as if nothing were kept."""
+    [memoized] = run_commands(monkeypatch, capsys, oracle_batch, [argv])
     monkeypatch.setattr(cli, "evaluate_text", lambda text, memo: reference_evaluate(parse(text)))
-    assert memoized == run()
+    assert run_commands(monkeypatch, capsys, oracle_batch, [argv]) == [memoized]
     assert memoized[2].count("error: line") > 100
+
+
+class TestTable:
+    """Each line is parsed once per process; sharing it between commands changes no output."""
+
+    def test_sharing_changes_no_output(self, oracle_batch, empty_table, monkeypatch, capsys):
+        sizes = []  # the number of nodes in the table after each command
+        real = cli.main
+
+        def main(argv):
+            status = real(argv)
+            sizes.append(len(dsl._nodes))
+            return status
+
+        monkeypatch.setattr(cli, "main", main)
+        shared = run_commands(monkeypatch, capsys, oracle_batch, BATCH_COMMANDS)
+        assert shared[0][2].count("error: line") > 100
+        # after the first command, the later ones intern no new node
+        assert sizes == sizes[:1] * len(BATCH_COMMANDS)
+        monkeypatch.setattr(dsl, "TABLE_CAP", -1)  # empty the table as each command starts
+        assert run_commands(monkeypatch, capsys, oracle_batch, BATCH_COMMANDS) == shared
+
+    def test_a_failed_parse_is_never_kept(self, empty_table, monkeypatch, capsys):
+        # the prefix S(3) of the first line parses; the trailing input fails it
+        batch = "S(3) S(4)\ncsum(S(3), )\nS(3) S(4)\ncsum(S(3), )\n"
+        errors = [
+            "error: line 1: 1:6: unexpected trailing input 'S'",
+            "error: line 2: 1:12: expected 'a generator or combinator name', found ')'",
+            "error: line 3: 1:6: unexpected trailing input 'S'",
+            "error: line 4: 1:12: expected 'a generator or combinator name', found ')'",
+        ]
+        expected = (2, "", "\n".join(errors) + "\n")
+        assert run_commands(monkeypatch, capsys, batch, [["chirality", "-"], ["eval", "-"]]) == [expected] * 2
+        assert dsl._lines == {}
+
+    def test_the_cap_empties_the_table_only_as_a_command_starts(
+        self, oracle_batch, empty_table, monkeypatch, capsys
+    ):
+        commands = [["eval", "-"], ["chirality", "-"]]
+        uncapped = run_commands(monkeypatch, capsys, oracle_batch, commands)
+        sizes = []  # the table's size as each line starts
+        real = cli.evaluate_text
+
+        def evaluate_text(text, memo):
+            sizes.append(len(dsl._nodes) + len(dsl._lines))
+            return real(text, memo)
+
+        monkeypatch.setattr(cli, "evaluate_text", evaluate_text)
+        monkeypatch.setattr(dsl, "TABLE_CAP", 100)
+        assert run_commands(monkeypatch, capsys, oracle_batch, commands) == uncapped
+        assert max(sizes) > 100
+        # emptied as each command starts, never during one
+        half = len(sizes) // 2
+        assert sizes[0] == sizes[half] == 0
+        assert [i for i in range(1, len(sizes)) if sizes[i] < sizes[i - 1]] == [half]
+
+    def test_a_reused_descriptor_gets_fresh_generator_ids_after_the_table_is_emptied(
+        self, empty_table, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(dsl, "TABLE_CAP", 2)
+        batch = "N(7)\nN(7)\ncsum(N(7),N(7))\n"
+        nodes = []
+        for _ in range(2):
+            [(status, out, _)] = run_commands(monkeypatch, capsys, batch, [["eval", "-"]])
+            nodes.append(parse("N(7)"))
+            pi1 = [line.split(None, 1)[1] for line in out.splitlines() if line.startswith("pi_1:")]
+            assert (status, pi1) == (0, [
+                "pi_1(hyperbolic 3-manifold #1)",
+                "pi_1(hyperbolic 3-manifold #2)",
+                "pi_1(hyperbolic 3-manifold #3) * pi_1(hyperbolic 3-manifold #4)",
+            ])
+        assert nodes[0] is not nodes[1]  # the second command emptied the table
