@@ -10,16 +10,17 @@ Subcommands::
     spincalc validate "<expr>"        realizability cross-checks
 
 Exit codes: 0 success, 1 verification mismatch or violation, 2 parse or
-semantic error.  Passing ``-`` as the expression reads one expression
-per line from stdin (batch mode).  A line that fails there is reported
-on stderr as ``error: line <k>: <message>`` and the batch goes on; the
-exit code is the worst status of its lines.
+semantic error, or stdout closed early.  Passing ``-`` as the expression
+reads one expression per line from stdin (batch mode).  A line that fails
+there is reported on stderr as ``error: line <k>: <message>`` and the
+batch goes on; the exit code is the worst status of its lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import permutations
 from typing import Callable
@@ -254,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at devnull, so that the
+        # flush at exit does not fail again (the Python signal docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -7,7 +7,6 @@ degree-set rules later read.
 
 from __future__ import annotations
 
-import itertools
 from typing import ClassVar
 
 from ._value import Value, set_field
@@ -134,11 +133,6 @@ class Prod(ConstructionExpr):
         set_field(self, "right", right)
 
 
-# Fresh ids for hyperbolic generators: each call models a different
-# manifold from an infinite family, so two calls are never assumed
-# homeomorphic.
-_generator_ids = itertools.count(1)
-
 _SPHERE_FACTS = frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))})
 _DEHN_RHS_FACTS = frozenset({Hyperbolic(), OddOrderIsometryGroup()})
 _IHS3_FACTS = frozenset({Hyperbolic()})
@@ -193,8 +187,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
     return make_descriptor(
         DehnRHS(p), 3, homology,
-        HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        facts=_DEHN_RHS_FACTS,
+        HyperbolicThreeManifoldGroup(), facts=_DEHN_RHS_FACTS,
     )
 
 
@@ -203,8 +196,7 @@ def ihs3() -> ManifoldDescriptor:
     homology = GradedGroup(3, ((0, Z), (3, Z)))
     return make_descriptor(
         IHS3(), 3, homology,
-        HyperbolicThreeManifoldGroup(next(_generator_ids)),
-        facts=_IHS3_FACTS,
+        HyperbolicThreeManifoldGroup(), facts=_IHS3_FACTS,
     )
 
 

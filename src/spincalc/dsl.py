@@ -19,7 +19,9 @@ The parser hash-conses every node into one table for the whole process,
 and keeps each line it parses in full, so a line is parsed once however
 many commands read it.  A :class:`Memo` lets one command build each
 distinct sub-expression of its lines once: :func:`evaluate` reuses the
-descriptors of the nodes that repeat.
+descriptors of the nodes that repeat.  Evaluation is a pure function of
+the AST, hyperbolic pi_1 tags included (they are numbered only when
+printed), so a reused descriptor is the one a rebuild would give.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from typing import NamedTuple
 
 from . import construct
 from .construct import ConstructionExpr
-from .manifold import (
-    DirectProduct,
-    FreeProduct,
-    HyperbolicThreeManifoldGroup,
-    ManifoldDescriptor,
-    Pi1Tag,
-)
+from .manifold import ManifoldDescriptor
 
 NAT, INT, EXPR = "nat", "int", "expr"
 
@@ -62,30 +58,26 @@ KINDS = (
 )
 _BY_NAME = {kind.node.name: kind for kind in KINDS}
 _BY_NODE = {kind.node: kind for kind in KINDS}
-# the kinds whose construction draws an id from ``construct._generator_ids``
-_NUMBERED = (construct.DehnRHS, construct.IHS3)
 
 
 # The hash-consing table of the process (Filliatre and Conchon 2006).
 # ``_nodes`` interns every parsed node on (class, ints, child ids), so
 # equal sub-expressions are one object and a node's id stands for its value
 # while the table holds it.  ``_lines`` maps each line parsed in full to its
-# node.  ``_generators`` holds, for each node with any, its number of N and
-# IHS3 leaves.  Parsing draws no generator id, so sharing the table between
-# commands changes no output; :class:`Memo` says when it is emptied.
+# node.  Sharing the table between commands changes no output; :class:`Memo`
+# says when it is emptied.
 TABLE_CAP = 100_000
 _nodes: dict[tuple, ConstructionExpr] = {}
 _lines: dict[str, ConstructionExpr] = {}
-_generators: dict[int, int] = {}
 
 
 class Memo:
     """What one command keeps while it runs its lines; drop it with the command.
 
     ``kept`` maps the id of each node evaluated to None after its first
-    evaluation and to (descriptor, generators) from its second on: only
-    repeated nodes keep a descriptor, so a batch of distinct lines
-    retains nothing for the garbage collector to scan.
+    evaluation and to its descriptor from its second on: only repeated
+    nodes keep a descriptor, so a batch of distinct lines retains nothing
+    for the garbage collector to scan.
 
     Making a memo starts a command, and is the one time the table is
     emptied, if it holds more than ``TABLE_CAP`` nodes and lines: ``kept``
@@ -99,8 +91,7 @@ class Memo:
         if len(_nodes) + len(_lines) > TABLE_CAP:
             _nodes.clear()
             _lines.clear()
-            _generators.clear()
-        self.kept: dict[int, tuple[ManifoldDescriptor, int] | None] = {}
+        self.kept: dict[int, ManifoldDescriptor | None] = {}
 
 
 def _intern(kind: Kind, args: list) -> ConstructionExpr:
@@ -109,12 +100,6 @@ def _intern(kind: Kind, args: list) -> ConstructionExpr:
     node = _nodes.get(key)
     if node is None:
         node = _nodes[key] = kind.node(*args)
-        count = kind.node in _NUMBERED
-        for field, arg in zip(kind.fields, args):
-            if field == EXPR:
-                count += _generators.get(id(arg), 0)
-        if count:
-            _generators[id(node)] = count
     return node
 
 
@@ -216,18 +201,12 @@ def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescrip
 
     With a memo, ``ast`` must come from :func:`parse` after the memo was
     made, so that the table holds its nodes.  A node's descriptor is then
-    kept from its second evaluation on and reused from its third; a
-    reused descriptor gets a fresh id for each N or IHS3 under the node,
-    drawn in source order from ``construct._generator_ids``, exactly the
-    ids a rebuild would draw.
+    kept from its second evaluation on and returned as it is from its third.
     """
     if memo is not None:
         kept = memo.kept.get(id(ast))
         if kept is not None:
-            m, generators = kept
-            if not generators:
-                return m
-            return ManifoldDescriptor(m.expr, m.dim, m.homology, _fresh_ids(m.pi1), m.facts)
+            return kept
     kind = _BY_NODE.get(type(ast))
     if kind is None:
         raise TypeError(f"not a construction expression: {ast!r}")
@@ -238,22 +217,8 @@ def evaluate(ast: ConstructionExpr, memo: Memo | None = None) -> ManifoldDescrip
     m = getattr(construct, kind.build)(*args)
     if memo is not None:
         seen = id(ast) in memo.kept
-        memo.kept[id(ast)] = (m, _generators.get(id(ast), 0)) if seen else None
+        memo.kept[id(ast)] = m if seen else None
     return m
-
-
-def _fresh_ids(tag: Pi1Tag) -> Pi1Tag:
-    """``tag`` with the next generator id for each hyperbolic group in it, in order.
-
-    Every construction keeps the pi_1 tags of its operands in source
-    order (only the spin of a surface replaces them, and no N or IHS3 is
-    ever below a surface), so this draws the ids a rebuild would.
-    """
-    if isinstance(tag, HyperbolicThreeManifoldGroup):
-        return HyperbolicThreeManifoldGroup(next(construct._generator_ids))
-    if isinstance(tag, (FreeProduct, DirectProduct)):
-        return tag.__class__(tuple([_fresh_ids(part) for part in tag.parts]))
-    return tag
 
 
 def evaluate_text(text: str, memo: Memo | None = None) -> ManifoldDescriptor:

@@ -9,7 +9,8 @@ and pi_1 when it is read.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import count
+from typing import Any, Iterator
 
 from ._value import Value, set_field
 from .abelian import AbGroup
@@ -25,14 +26,15 @@ class Pi1Tag(Value):
 
     __slots__ = ()
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
+        """The group as text; ``ids`` numbers its hyperbolic parts, from 1 if None."""
         raise NotImplementedError
 
 
 class Trivial(Pi1Tag):
     __slots__ = ()
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
         return "1"
 
 
@@ -42,7 +44,7 @@ class FreeAbelian(Pi1Tag):
     def __init__(self, rank: int) -> None:
         set_field(self, "rank", rank)
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
 
@@ -52,20 +54,21 @@ class FiniteCyclic(Pi1Tag):
     def __init__(self, order: int) -> None:
         set_field(self, "order", order)
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
         return f"Z_{self.order}"
 
 
 class HyperbolicThreeManifoldGroup(Pi1Tag):
-    """Fundamental group of a fixed closed hyperbolic 3-manifold generator."""
+    """Fundamental group of an N or IHS3, a closed hyperbolic 3-manifold.
 
-    __slots__ = __match_args__ = ("generator_id",)
+    Each occurrence is a different manifold of an infinite family, so a
+    described tag numbers its hyperbolic parts #1, #2, ... from the left.
+    """
 
-    def __init__(self, generator_id: int) -> None:
-        set_field(self, "generator_id", generator_id)
+    __slots__ = ()
 
-    def describe(self) -> str:
-        return f"pi_1(hyperbolic 3-manifold #{self.generator_id})"
+    def describe(self, ids: Iterator[int] | None = None) -> str:
+        return f"pi_1(hyperbolic 3-manifold #{1 if ids is None else next(ids)})"
 
 
 class SurfaceGroup(Pi1Tag):
@@ -74,7 +77,7 @@ class SurfaceGroup(Pi1Tag):
     def __init__(self, genus: int) -> None:
         set_field(self, "genus", genus)
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
         return f"pi_1(Sigma_{self.genus})"
 
 
@@ -94,7 +97,7 @@ class FreeGroup(Pi1Tag):
     def __init__(self, rank: int) -> None:
         set_field(self, "rank", rank)
 
-    def describe(self) -> str:
+    def describe(self, ids: Iterator[int] | None = None) -> str:
         if self.rank > FREE_RANK_LIMIT:
             raise ValueError(
                 f"pi_1 is free of rank {self.rank}; a report writes out at most "
@@ -109,8 +112,8 @@ class FreeProduct(Pi1Tag):
     def __init__(self, parts: tuple[Pi1Tag, ...]) -> None:
         set_field(self, "parts", parts)
 
-    def describe(self) -> str:
-        return _describe_parts(self.parts, " * ")
+    def describe(self, ids: Iterator[int] | None = None) -> str:
+        return _describe_parts(self.parts, " * ", ids)
 
 
 class DirectProduct(Pi1Tag):
@@ -119,17 +122,21 @@ class DirectProduct(Pi1Tag):
     def __init__(self, parts: tuple[Pi1Tag, ...]) -> None:
         set_field(self, "parts", parts)
 
-    def describe(self) -> str:
-        return _describe_parts(self.parts, " x ")
+    def describe(self, ids: Iterator[int] | None = None) -> str:
+        return _describe_parts(self.parts, " x ", ids)
 
 
-def _describe_parts(parts: tuple[Pi1Tag, ...], sep: str) -> str:
+def _describe_parts(parts: tuple[Pi1Tag, ...], sep: str, ids: Iterator[int] | None) -> str:
     """The parts joined by sep, each product of the other kind in parentheses.
 
-    A free group counts as a free product.
+    A free group counts as a free product.  One count, from 1 if ``ids``
+    is None, numbers the hyperbolic parts of all of them in order.
     """
+    ids = count(1) if ids is None else ids
     other = DirectProduct if sep == " * " else (FreeProduct, FreeGroup)
-    return sep.join(f"({p.describe()})" if isinstance(p, other) else p.describe() for p in parts)
+    return sep.join(
+        f"({p.describe(ids)})" if isinstance(p, other) else p.describe(ids) for p in parts
+    )
 
 
 def _combine(kind: type, parts: list[Pi1Tag]) -> Pi1Tag:

@@ -260,6 +260,23 @@ def test_eval_of_a_spun_surface_of_huge_genus_exits_2(stdin):
         assert result.stdout.startswith("expression:    S(3)\n")
 
 
+def test_a_reader_that_closes_early_gets_exit_2_and_no_traceback():
+    src = Path(spincalc.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spincalc.cli", "eval", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    # the reports of 2000 lines overflow the pipe, so the batch writes after the close
+    proc.stdin.write("S(3)\n" * 2000)
+    proc.stdin.close()
+    assert proc.stdout.readline() == "expression:    S(3)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 class TestDegrees:
     def test_all_integers(self, capsys):
         status, out, _ = run(
@@ -298,6 +315,12 @@ class TestVerify:
         status, out, _ = run(capsys, "verify", "--theorem", theorem, "--m", "3", "--p", "11")
         assert status == 0
         assert "ok" in out
+
+    def test_repeated_calls_print_the_same_line(self, capsys):
+        argv = ("verify", "--theorem", "main", "--m", "1", "--p", "7")
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv)
+        assert first[1] == "main(m=1, p=7): ok (dim 7, pi_1 = pi_1(hyperbolic 3-manifold #1))\n"
 
     def test_wrong_prime_is_semantic_error(self, capsys):
         status, _, err = run(capsys, "verify", "--theorem", "main", "--m", "1", "--p", "5")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -86,10 +87,19 @@ class TestHyperbolicGenerators:
         with pytest.raises(ValueError):
             dehn_rhs(4)
 
-    def test_fresh_generator_ids(self):
-        a, b = dehn_rhs(7), dehn_rhs(7)
-        assert isinstance(a.pi1, HyperbolicThreeManifoldGroup)
-        assert a.pi1 != b.pi1
+    @pytest.mark.parametrize(
+        "text, ids",
+        [
+            ("N(7)", "#1"),
+            ("csum(N(7),N(7))", "#1 * #2"),
+            ("prod(csum(N(7),IHS3),spin(2,N(3)))", "(#1 * #2) x #3"),
+        ],
+    )
+    def test_occurrences_are_numbered_in_source_order(self, text, ids):
+        """Each N or IHS3 is another manifold: its pi_1 is numbered when printed."""
+        assert dehn_rhs(7).pi1 == ihs3().pi1 == HyperbolicThreeManifoldGroup()
+        described = evaluate_text(text).pi1.describe()
+        assert re.sub(r"pi_1\(hyperbolic 3-manifold (#\d+)\)", r"\1", described) == ids
 
     def test_ihs3(self):
         m = ihs3()

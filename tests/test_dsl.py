@@ -1,7 +1,8 @@
+import functools
 import io
-import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,13 +187,9 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="odd"):
             evaluate_text("L(3,4)")
 
-    def test_referential_transparency_modulo_ids(self):
+    def test_referential_transparency(self):
         text = "csum(E(1,7), spin(4, N(7)))"
-        a, b = evaluate_text(text), evaluate_text(text)
-        assert a.homology == b.homology
-        assert a.dim == b.dim
-        assert a.connectivity == b.connectivity
-        assert {type(f) for f in a.facts} == {type(f) for f in b.facts}
+        assert evaluate_text(text) == evaluate_text(text)
 
     def test_rejects_non_expression(self):
         with pytest.raises(TypeError):
@@ -202,7 +199,7 @@ class TestEvaluate:
 @pytest.fixture
 def empty_table(monkeypatch):
     """The process's hash-consing table, empty for this test and restored after it."""
-    for name in ("_nodes", "_lines", "_generators"):
+    for name in ("_nodes", "_lines"):
         monkeypatch.setattr(dsl, name, {})
 
 
@@ -236,15 +233,14 @@ class TestMemo:
         # the second call builds as much again: no descriptor survives a call
         assert counts[1] == {name: 2 * n for name, n in counts[0].items()}
 
-    def test_a_reused_descriptor_gets_fresh_generator_ids(self, monkeypatch, capsys):
-        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+    def test_each_line_numbers_its_hyperbolic_generators_from_1(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("N(7)\nN(7)\ncsum(N(7),N(7))\n"))
         assert cli.main(["eval", "-"]) == 0
         pi1 = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pi_1:")]
         assert [line.split(None, 1)[1] for line in pi1] == [
             "pi_1(hyperbolic 3-manifold #1)",
-            "pi_1(hyperbolic 3-manifold #2)",
-            "pi_1(hyperbolic 3-manifold #3) * pi_1(hyperbolic 3-manifold #4)",
+            "pi_1(hyperbolic 3-manifold #1)",
+            "pi_1(hyperbolic 3-manifold #1) * pi_1(hyperbolic 3-manifold #2)",
         ]
 
 
@@ -266,8 +262,7 @@ BATCH_COMMANDS = [
 
 
 def run_commands(monkeypatch, capsys, batch: str, commands: list[list[str]]) -> list[tuple]:
-    """(exit code, stdout, stderr) of each command on ``batch``, in one process, ids from 1."""
-    monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+    """(exit code, stdout, stderr) of each command on ``batch``, in one process."""
     results = []
     for argv in commands:
         monkeypatch.setattr("sys.stdin", io.StringIO(batch))
@@ -284,6 +279,66 @@ def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkey
     monkeypatch.setattr(cli, "evaluate_text", lambda text, memo: reference_evaluate(parse(text)))
     assert run_commands(monkeypatch, capsys, oracle_batch, [argv]) == [memoized]
     assert memoized[2].count("error: line") > 100
+
+
+def line_records(monkeypatch, capsys, argv: list[str], batches: list[str]) -> list[tuple]:
+    """(line, status, stdout, stderr) of each line of ``batches``, one ``cli.main`` call a batch.
+
+    A line's stdout and stderr are what its call prints from the start of
+    its evaluation to the start of the next line's, without the stdin line
+    number of an error.  Its status is what its handler returned, or 2 if
+    it failed; each call must exit with the worst status of its lines.
+    """
+    records: list[list] = []
+    real_run_each, real_evaluate_text = cli._run_each, cli.evaluate_text
+
+    def end_record():
+        out = capsys.readouterr()
+        if records and len(records[-1]) == 2:
+            records[-1] += [out.out, re.sub(r"(?m)^error: line \d+: ", "error: ", out.err)]
+
+    def evaluate_text(text, memo):
+        end_record()
+        records.append([text, 2])
+        return real_evaluate_text(text, memo)
+
+    def run_each(arg, handle):
+        def recorded(text, m):
+            records[-1][1] = handle(text, m)
+            return records[-1][1]
+
+        return real_run_each(arg, recorded)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "evaluate_text", evaluate_text)
+        patch.setattr(cli, "_run_each", run_each)
+        # one parser for all calls: building it costs more than most lines
+        patch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+        for batch in batches:
+            first = len(records)
+            patch.setattr("sys.stdin", io.StringIO(batch))
+            status = cli.main(argv)
+            end_record()
+            assert status == max(record[1] for record in records[first:])
+    return [tuple(record) for record in records]
+
+
+@pytest.mark.parametrize("argv", BATCH_COMMANDS, ids=" ".join)
+def test_a_line_prints_the_same_in_any_batch(argv, oracle_batch, monkeypatch, capsys):
+    """A line's output depends on the line alone, not on the lines or calls before it."""
+    lines = oracle_batch.splitlines(keepends=True)
+
+    def run() -> list[tuple]:
+        forward = line_records(monkeypatch, capsys, argv, ["".join(lines)])
+        backward = line_records(monkeypatch, capsys, argv, ["".join(reversed(lines))])
+        alone = line_records(monkeypatch, capsys, argv, lines)
+        assert len(alone) == len(lines)
+        assert forward == backward[::-1] == alone
+        return alone
+
+    first = run()
+    assert sum(status == 2 for _, status, _, _ in first) > 100
+    assert run() == first
 
 
 class TestTable:
@@ -340,7 +395,7 @@ class TestTable:
         assert sizes[0] == sizes[half] == 0
         assert [i for i in range(1, len(sizes)) if sizes[i] < sizes[i - 1]] == [half]
 
-    def test_a_reused_descriptor_gets_fresh_generator_ids_after_the_table_is_emptied(
+    def test_each_line_numbers_its_hyperbolic_generators_from_1_after_the_table_is_emptied(
         self, empty_table, monkeypatch, capsys
     ):
         monkeypatch.setattr(dsl, "TABLE_CAP", 2)
@@ -352,7 +407,7 @@ class TestTable:
             pi1 = [line.split(None, 1)[1] for line in out.splitlines() if line.startswith("pi_1:")]
             assert (status, pi1) == (0, [
                 "pi_1(hyperbolic 3-manifold #1)",
-                "pi_1(hyperbolic 3-manifold #2)",
-                "pi_1(hyperbolic 3-manifold #3) * pi_1(hyperbolic 3-manifold #4)",
+                "pi_1(hyperbolic 3-manifold #1)",
+                "pi_1(hyperbolic 3-manifold #1) * pi_1(hyperbolic 3-manifold #2)",
             ])
         assert nodes[0] is not nodes[1]  # the second command emptied the table

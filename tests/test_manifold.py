@@ -1,5 +1,4 @@
 import io
-import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import spincalc
-from spincalc import cli, construct, manifold
+from spincalc import cli, manifold
 from spincalc.abelian import Z, cyclic, free
 from spincalc.construct import bundle, cp, dehn_rhs, ihs3, sphere, spin
 from spincalc.dsl import evaluate_text
@@ -56,8 +55,7 @@ class TestPi1Tags:
             (FreeGroup(3), FiniteCyclic(2), FreeGroup(5))
         )
 
-    def test_the_pi_1_of_a_spun_surface_reads_as_a_free_product(self, monkeypatch):
-        monkeypatch.setattr(construct, "_generator_ids", itertools.count(1))
+    def test_the_pi_1_of_a_spun_surface_reads_as_a_free_product(self):
         assert evaluate_text("spin(1,Sigma(2))").pi1 == FreeGroup(4)
         for text, pi1 in [
             ("spin(1,Sigma(2))", "Z * Z * Z * Z"),
@@ -188,7 +186,7 @@ class TestRealizability:
 class TestConnectivityIsReadOnlyByEval:
     """Only the ``eval`` report reads the connectivity, and only of its root."""
 
-    # a batch with repeated lines, so that memoized nodes are reused, N(7) with fresh ids
+    # a batch with repeated lines, so that memoized nodes are reused, N(7) among them
     BATCH = "csum(S(3),N(7))\n" * 3 + "spin(2,S(5))\n" * 3 + "\nprod(S(2),S(2))\n"
 
     def walks(self, monkeypatch, *argv, stdin=None):

@@ -60,7 +60,7 @@ SAMPLES = {
     Trivial: [()],
     FreeAbelian: [(3,), (2,)],
     FiniteCyclic: [(3,), (2,)],
-    HyperbolicThreeManifoldGroup: [(3,), (2,)],
+    HyperbolicThreeManifoldGroup: [()],
     SurfaceGroup: [(3,), (2,)],
     FreeGroup: [(4,), (2,)],
     FreeProduct: [((FreeAbelian(1), FiniteCyclic(2)),), ((FreeAbelian(1),),)],
