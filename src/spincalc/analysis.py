@@ -72,46 +72,50 @@ class ChiralityVerdict(Value):
 # -- strong chirality ---------------------------------------------------------
 
 
-def _linking_obstruction(m: ManifoldDescriptor) -> tuple[str, ...] | None:
-    """Torsion-linking obstruction to degree -1, when applicable.
+def _linking_test(m: ManifoldDescriptor) -> tuple[bool, tuple[str, ...]]:
+    """Whether the torsion linking form forbids degree -1, with its reason.
 
     In dimension 4k+3 the middle torsion pairing is symmetric and scales
     with the mapping degree; a cyclic Tor H^{middle} = Z_q with -1 a
-    non-residue mod q therefore forbids degree -1.
+    non-residue mod q therefore forbids degree -1.  The steps are that
+    proof, or the one line saying why the test is silent.
     """
     if m.dim % 4 != 3:
-        return None
+        return False, (
+            f"dimension {m.dim} is not of the form 4k+3; torsion linking test inapplicable",
+        )
     k = (m.dim - 1) // 2
-    q = middle_torsion(m).is_cyclic_of_order()
+    torsion = middle_torsion(m)
+    q = torsion.is_cyclic_of_order()
     if q is None:
-        return None
+        return False, (f"Tor H^{k + 1} = {torsion} is not cyclic of order >= 2",)
     if isinstance(m.expr, DehnRHS) and q == 2 * m.expr.p:
         # dehn_rhs certified p prime, so -1 is a square mod 2p iff p = 1 (mod 4)
         square = m.expr.p % 4 == 1
     else:
         square = minus_one_is_square_mod(q)
     if square:
-        return None
-    return (
+        return False, (f"-1 is a square mod {q}, so the torsion linking test is silent",)
+    return True, (
         f"dimension {m.dim} = 2k+1 with k = {k} odd: torsion linking pairing applies",
         f"Tor H^{k + 1} = Z_{q} is cyclic",
         f"-1 is not a square mod {q}: no self-map of degree -1 exists",
     )
 
 
-def _chirality_certificate(m: ManifoldDescriptor) -> tuple[str, ...] | None:
-    """A proof of strong chirality, from homology or a recorded fact."""
-    trace = _linking_obstruction(m)
-    if trace is not None:
-        return trace
+def _chirality_certificate(
+    m: ManifoldDescriptor, forbids: bool, steps: tuple[str, ...]
+) -> tuple[str, ...] | None:
+    """A proof of strong chirality: the linking test's steps, or a recorded fact."""
+    if forbids:
+        return steps
     fact = m.get_fact(ExternallyProvenStronglyChiral)
-    if fact is not None:
-        return (f"recorded fact: {fact.describe()}",)
-    return None
+    return None if fact is None else (f"recorded fact: {fact.describe()}",)
 
 
 def chirality_verdict(m: ManifoldDescriptor) -> ChiralityVerdict:
-    cert = _chirality_certificate(m)
+    forbids, steps = _linking_test(m)
+    cert = _chirality_certificate(m, forbids, steps)
     ds = _degree_set(m, lambda: cert)
     if cert is not None and ds.contains_minus_one():
         raise ValueError(
@@ -125,24 +129,14 @@ def chirality_verdict(m: ManifoldDescriptor) -> ChiralityVerdict:
             ADMITS_DEGREE_MINUS_ONE,
             (f"degree set {ds.describe()} realizes -1 (rules: {', '.join(ds.rules)})",),
         )
-    return ChiralityVerdict(INCONCLUSIVE, tuple(_blockers(m)))
-
-
-def _blockers(m: ManifoldDescriptor) -> list[str]:
-    out = []
-    if m.dim % 4 != 3:
-        out.append(f"dimension {m.dim} is not of the form 4k+3; torsion linking test inapplicable")
-    else:
-        k = (m.dim - 1) // 2
-        torsion = middle_torsion(m)
-        q = torsion.is_cyclic_of_order()
-        if q is None:
-            out.append(f"Tor H^{k + 1} = {torsion} is not cyclic of order >= 2")
-        else:
-            out.append(f"-1 is a square mod {q}, so the torsion linking test is silent")
-    out.append("no externally proven chirality fact recorded")
-    out.append("degree-set engine does not realize -1")
-    return out
+    return ChiralityVerdict(
+        INCONCLUSIVE,
+        (
+            *steps,
+            "no externally proven chirality fact recorded",
+            "degree-set engine does not realize -1",
+        ),
+    )
 
 
 # -- degree sets ---------------------------------------------------------------
@@ -181,7 +175,7 @@ def _sphere_level(e: ConstructionExpr) -> int:
 
 def degree_set(m: ManifoldDescriptor) -> DegreeSet:
     """Infer D(M) from the construction expression and recorded facts."""
-    return _degree_set(m, lambda: _chirality_certificate(m))
+    return _degree_set(m, lambda: _chirality_certificate(m, *_linking_test(m)))
 
 
 def _degree_set(

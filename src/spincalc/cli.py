@@ -144,17 +144,15 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     p = args.p
+    base = dehn_rhs(p)
     rows = []
     for radii in _TABLE1_RADII:
-        base = dehn_rhs(p)
         spun = iterated_spin(list(radii), base)
         # order independence: every permutation must give identical homology
         for perm in set(permutations(radii)):
-            other = iterated_spin(list(perm), dehn_rhs(p))
+            other = iterated_spin(list(perm), base)
             if other.homology != spun.homology:
-                print(
-                    f"order-independence FAILED for {radii} vs {perm}", file=sys.stderr
-                )
+                print(f"order-independence FAILED for {radii} vs {perm}", file=sys.stderr)
                 return 1
         label = "".join(f"sigma_{r} " for r in radii) + f"(N({p}))"
         rows.append((label, spun.homology.group(3)))

@@ -15,7 +15,6 @@ from .degrees import ALL_INTEGERS, exact_set
 from .graded import GradedGroup, homology_from_cohomology
 from .manifold import (
     FiniteCyclic,
-    FreeAbelian,
     FreeGroup,
     Hyperbolic,
     HyperbolicThreeManifoldGroup,
@@ -145,7 +144,7 @@ def sphere(n: int) -> ManifoldDescriptor:
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     homology = GradedGroup(n, ((0, Z), (n, Z)))
-    pi1 = FreeAbelian(1) if n == 1 else Trivial()
+    pi1 = FreeGroup(1) if n == 1 else Trivial()
     return make_descriptor(Sphere(n), n, homology, pi1, facts=_SPHERE_FACTS)
 
 

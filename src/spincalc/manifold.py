@@ -38,16 +38,6 @@ class Trivial(Pi1Tag):
         return "1"
 
 
-class FreeAbelian(Pi1Tag):
-    __slots__ = __match_args__ = ("rank",)
-
-    def __init__(self, rank: int) -> None:
-        set_field(self, "rank", rank)
-
-    def describe(self, ids: Iterator[int] | None = None) -> str:
-        return "Z" if self.rank == 1 else f"Z^{self.rank}"
-
-
 class FiniteCyclic(Pi1Tag):
     __slots__ = __match_args__ = ("order",)
 
@@ -86,7 +76,7 @@ FREE_RANK_LIMIT = 1_000_000
 
 
 class FreeGroup(Pi1Tag):
-    """The free group of a rank >= 2, the free product of that many copies of Z.
+    """The free group of a rank >= 1, the free product of that many copies of Z.
 
     Its text is built only when it is described, and only up to
     ``FREE_RANK_LIMIT`` factors.
@@ -129,29 +119,30 @@ class DirectProduct(Pi1Tag):
 def _describe_parts(parts: tuple[Pi1Tag, ...], sep: str, ids: Iterator[int] | None) -> str:
     """The parts joined by sep, each product of the other kind in parentheses.
 
-    A free group counts as a free product.  One count, from 1 if ``ids``
-    is None, numbers the hyperbolic parts of all of them in order.
+    A free group of rank >= 2 counts as a free product.  One count, from 1
+    if ``ids`` is None, numbers the hyperbolic parts of all of them in order.
     """
     ids = count(1) if ids is None else ids
     other = DirectProduct if sep == " * " else (FreeProduct, FreeGroup)
     return sep.join(
-        f"({p.describe(ids)})" if isinstance(p, other) else p.describe(ids) for p in parts
+        f"({p.describe(ids)})" if isinstance(p, other) and p != FreeGroup(1) else p.describe(ids)
+        for p in parts
     )
 
 
 def _combine(kind: type, parts: list[Pi1Tag]) -> Pi1Tag:
     """Flatten nested products of the same kind and absorb trivial factors.
 
-    In a free product, each run of adjacent free factors (copies of Z and
-    free groups) becomes one free group.
+    In a free product, each run of adjacent free groups becomes one.
     """
     flat: list[Pi1Tag] = []
     for p in parts:
         for q in p.parts if isinstance(p, kind) else (p,):  # type: ignore[attr-defined]
             if isinstance(q, Trivial):
                 continue
-            if kind is FreeProduct and flat and _free_rank(q) and _free_rank(flat[-1]):
-                flat[-1] = FreeGroup(_free_rank(flat[-1]) + _free_rank(q))
+            last = flat[-1] if flat else None
+            if kind is FreeProduct and isinstance(q, FreeGroup) and isinstance(last, FreeGroup):
+                flat[-1] = FreeGroup(last.rank + q.rank)
             else:
                 flat.append(q)
     if not flat:
@@ -159,13 +150,6 @@ def _combine(kind: type, parts: list[Pi1Tag]) -> Pi1Tag:
     if len(flat) == 1:
         return flat[0]
     return kind(tuple(flat))
-
-
-def _free_rank(tag: Pi1Tag) -> int:
-    """The rank of a free group tag, Z counting as rank 1; 0 for any other tag."""
-    if isinstance(tag, FreeGroup):
-        return tag.rank
-    return 1 if isinstance(tag, FreeAbelian) and tag.rank == 1 else 0
 
 
 def free_product(*parts: Pi1Tag) -> Pi1Tag:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spincalc
-from spincalc import residues
+from spincalc import analysis, cli, residues
 from spincalc.analysis import (
     ADMITS_DEGREE_MINUS_ONE,
     INCONCLUSIVE,
@@ -214,6 +215,37 @@ class TestChirality:
         verdict = chirality_verdict(m)
         assert verdict.kind == INCONCLUSIVE
         assert any("not cyclic" in step for step in verdict.trace)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("L(3,5)", "dimension 5 is not of the form 4k+3; torsion linking test inapplicable"),
+            ("IHS3", "Tor H^2 = 0 is not cyclic of order >= 2"),
+            ("csum(E(1,7),E(1,7))", "Tor H^4 = Z_14^2 is not cyclic of order >= 2"),
+            ("N(13)", "-1 is a square mod 26, so the torsion linking test is silent"),
+        ],
+    )
+    def test_a_silent_linking_test_gives_one_reason(self, capsys, text, reason):
+        trace = [
+            reason,
+            "no externally proven chirality fact recorded",
+            "degree-set engine does not realize -1",
+        ]
+        assert cli.main(["chirality", text]) == 0
+        assert capsys.readouterr().out == "".join(
+            [f"{text}: inconclusive\n", *(f"  - {step}\n" for step in trace)]
+        )
+        assert cli.main(["chirality", "--json", text]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"] == trace
+
+    @pytest.mark.parametrize("text", ["N(13)", "csum(E(1,7),E(1,7))"])
+    def test_an_inconclusive_verdict_reads_the_middle_torsion_once(self, monkeypatch, text):
+        m = evaluate_text(text)
+        calls = []
+        original = analysis.middle_torsion
+        monkeypatch.setattr(analysis, "middle_torsion", lambda d: calls.append(d) or original(d))
+        assert chirality_verdict(m).kind == INCONCLUSIVE
+        assert calls == [m]
 
     def test_external_fact_certifies(self):
         m = product(dehn_rhs(7), evaluate_text("E(1,7)"))

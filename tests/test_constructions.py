@@ -28,7 +28,7 @@ from spincalc.dsl import evaluate_text
 from spincalc.graded import GradedGroup, check_poincare_duality
 from spincalc.manifold import (
     FiniteCyclic,
-    FreeAbelian,
+    FreeGroup,
     HyperbolicThreeManifoldGroup,
     Trivial,
 )
@@ -46,7 +46,7 @@ class TestSphere:
     def test_circle(self):
         s = sphere(1)
         assert dict(s.homology.entries) == {0: Z, 1: Z}
-        assert s.pi1 == FreeAbelian(1)
+        assert s.pi1 == FreeGroup(1)
 
     def test_euler_characteristic_odd(self):
         assert sphere(7).homology.euler_characteristic() == 0

@@ -15,7 +15,6 @@ from spincalc.graded import GradedGroup
 from spincalc.manifold import (
     DirectProduct,
     FiniteCyclic,
-    FreeAbelian,
     FreeGroup,
     FreeProduct,
     Hyperbolic,
@@ -48,9 +47,9 @@ class TestPi1Tags:
         assert tag == DirectProduct((FiniteCyclic(2), FiniteCyclic(3)))
 
     def test_adjacent_free_factors_make_one_free_group(self):
-        assert free_product(FreeAbelian(1), FreeAbelian(1)) == FreeGroup(2)
-        tag = free_product(FreeAbelian(1), FreeGroup(2), FiniteCyclic(2), FreeAbelian(1))
-        assert tag == FreeProduct((FreeGroup(3), FiniteCyclic(2), FreeAbelian(1)))
+        assert free_product(FreeGroup(1), FreeGroup(1)) == FreeGroup(2)
+        tag = free_product(FreeGroup(1), FreeGroup(2), FiniteCyclic(2), FreeGroup(1))
+        assert tag == FreeProduct((FreeGroup(3), FiniteCyclic(2), FreeGroup(1)))
         assert free_product(tag, FreeGroup(4)) == FreeProduct(
             (FreeGroup(3), FiniteCyclic(2), FreeGroup(5))
         )
@@ -65,9 +64,9 @@ class TestPi1Tags:
             assert evaluate_text(text).pi1.describe() == pi1
 
     def test_a_product_inside_the_other_kind_is_parenthesized(self):
-        z3 = direct_product(FreeAbelian(1), FreeAbelian(1), FreeAbelian(1))
+        z3 = direct_product(FreeGroup(1), FreeGroup(1), FreeGroup(1))
         assert free_product(z3, FiniteCyclic(3)).describe() == "(Z x Z x Z) * Z_3"
-        z_z2 = free_product(FreeAbelian(1), FiniteCyclic(2))
+        z_z2 = free_product(FreeGroup(1), FiniteCyclic(2))
         assert direct_product(FiniteCyclic(3), z_z2).describe() == "Z_3 x (Z * Z_2)"
         nested = free_product(direct_product(FiniteCyclic(2), z_z2), FiniteCyclic(5))
         assert nested.describe() == "(Z_2 x (Z * Z_2)) * Z_5"

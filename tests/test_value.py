@@ -34,7 +34,6 @@ from spincalc.manifold import (
     DirectProduct,
     ExternallyProvenStronglyChiral,
     FiniteCyclic,
-    FreeAbelian,
     FreeGroup,
     FreeProduct,
     Hyperbolic,
@@ -58,13 +57,12 @@ SAMPLES = {
     GradedGroup: [(3, ((0, Z), (3, Z))), (4, ((0, Z), (4, Z)))],
     DualityReport: [(False, 1, "torsion"), (False, 2, "torsion")],
     Trivial: [()],
-    FreeAbelian: [(3,), (2,)],
     FiniteCyclic: [(3,), (2,)],
     HyperbolicThreeManifoldGroup: [()],
     SurfaceGroup: [(3,), (2,)],
     FreeGroup: [(4,), (2,)],
-    FreeProduct: [((FreeAbelian(1), FiniteCyclic(2)),), ((FreeAbelian(1),),)],
-    DirectProduct: [((FreeAbelian(1), FiniteCyclic(2)),), ((FreeAbelian(1),),)],
+    FreeProduct: [((FreeGroup(1), FiniteCyclic(2)),), ((FreeGroup(1),),)],
+    DirectProduct: [((FreeGroup(1), FiniteCyclic(2)),), ((FreeGroup(1),),)],
     Hyperbolic: [()],
     OddOrderIsometryGroup: [()],
     ExternallyProvenStronglyChiral: [("a citation",), ("another",)],
