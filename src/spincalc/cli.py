@@ -43,30 +43,44 @@ SCHEMA = "1"
 _TABLE1_RADII = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2))
 
 
-def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], int]) -> int:
-    """Run ``handle`` on the expression, or on each stdin line for ``-``, and its descriptor.
+def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], tuple[int, str]]) -> int:
+    """Print ``handle``'s answer to the expression, or to each stdin line for ``-``.
 
-    One :class:`Memo` serves the call, so each distinct sub-expression of
-    its lines is built once, and it is dropped when the call returns; the
-    parsed lines stay in the table of the process for the next call.
-    In batch mode a line that fails to parse or evaluate, or nests too
-    deeply, is reported with its stdin line number and the rest still
-    run; the result is the worst status.  A single expression's error goes up to ``main``.
+    ``handle`` maps a line and its descriptor to ``(status, text)`` and
+    prints nothing.  One :class:`Memo` serves the call, so each distinct
+    sub-expression of its lines is built once, and it is dropped when the
+    call returns; the parsed lines stay in the table of the process for
+    the next call.  By the memo's rule, ``answers`` maps a line to None
+    after its first answer and to the answer from its second on, which
+    its later copies print without evaluating: only a repeated line keeps
+    its answer, and only for the call.  In batch mode a line that fails
+    to parse or evaluate, or nests too deeply, is never kept: each copy
+    is reported with its stdin line number and the rest still run; the
+    result is the worst status.  A single expression's error goes up to ``main``.
     """
     memo = Memo()
     if arg != "-":
-        return handle(arg, evaluate_text(arg, memo))
+        status, output = handle(arg, evaluate_text(arg, memo))
+        print(output)
+        return status
     status = 0
+    answers: dict[str, tuple[int, str] | None] = {}
     for k, line in enumerate(sys.stdin, 1):
         text = line.strip()
         if not text:
             continue
-        try:
-            status = max(status, handle(text, evaluate_text(text, memo)))
-        except (ParseError, ValueError, RecursionError) as exc:
-            message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
-            print(f"error: line {k}: {message}", file=sys.stderr)
-            status = 2
+        answer = answers.get(text)
+        if answer is None:
+            try:
+                answer = handle(text, evaluate_text(text, memo))
+            except (ParseError, ValueError, RecursionError) as exc:
+                message = "expression nested too deeply" if isinstance(exc, RecursionError) else exc
+                print(f"error: line {k}: {message}", file=sys.stderr)
+                status = 2
+                continue
+            answers[text] = answer if text in answers else None
+        status = max(status, answer[0])
+        print(answer[1])
     return status
 
 
@@ -111,33 +125,28 @@ def _indent(text: str) -> str:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    def handle(text: str, m: ManifoldDescriptor) -> int:
-        print(_descriptor_report(m, args.json))
-        return 0
+    def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
+        return 0, _descriptor_report(m, args.json)
 
     return _run_each(args.expr, handle)
 
 
 def _cmd_chirality(args: argparse.Namespace) -> int:
-    def handle(text: str, m: ManifoldDescriptor) -> int:
+    def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
         verdict = chirality_verdict(m)
         if args.json:
-            print(json.dumps({"schema": SCHEMA, "expr": text, **verdict.to_json()}, indent=2))
-        else:
-            print(f"{text}: {verdict.describe()}")
-        return 0
+            return 0, json.dumps({"schema": SCHEMA, "expr": text, **verdict.to_json()}, indent=2)
+        return 0, f"{text}: {verdict.describe()}"
 
     return _run_each(args.expr, handle)
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    def handle(text: str, m: ManifoldDescriptor) -> int:
+    def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
         ds = degree_set(m)
         if args.json:
-            print(json.dumps({"schema": SCHEMA, "expr": text, **ds.to_json()}, indent=2))
-        else:
-            print(f"D({text}) = {ds.describe()}")
-        return 0
+            return 0, json.dumps({"schema": SCHEMA, "expr": text, **ds.to_json()}, indent=2)
+        return 0, f"D({text}) = {ds.describe()}"
 
     return _run_each(args.expr, handle)
 
@@ -148,8 +157,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     for radii in _TABLE1_RADII:
         spun = iterated_spin(list(radii), base)
-        # order independence: every permutation must give identical homology
-        for perm in set(permutations(radii)):
+        # order independence: every other order must give identical homology
+        for perm in set(permutations(radii)) - {radii}:
             other = iterated_spin(list(perm), base)
             if other.homology != spun.homology:
                 print(f"order-independence FAILED for {radii} vs {perm}", file=sys.stderr)
@@ -195,15 +204,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    def handle(text: str, m: ManifoldDescriptor) -> int:
+    def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
         violations = validate_realizability(m)
         if not violations:
-            print(f"{text}: ok")
-            return 0
-        print(f"{text}: {len(violations)} violation(s)")
-        for v in violations:
-            print(f"  - [{v.code}] {v.message}")
-        return 1
+            return 0, f"{text}: ok"
+        report = [f"{text}: {len(violations)} violation(s)"]
+        report += (f"  - [{v.code}] {v.message}" for v in violations)
+        return 1, "\n".join(report)
 
     return _run_each(args.expr, handle)
 

@@ -212,6 +212,79 @@ class TestBatch:
         assert "S(4): 1 violation(s)" in out and "N(7): ok" in out
         assert err.startswith("error: line 2: ")
 
+    def test_a_line_is_evaluated_twice_and_replayed_after(self, capsys, monkeypatch):
+        line = "csum(E(1,7),spin(4,N(7)))"
+        _, answer, _ = run(capsys, "chirality", line)
+        calls = []
+        real = cli.chirality_verdict
+        monkeypatch.setattr(cli, "chirality_verdict", lambda m: calls.append(m) or real(m))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{line}\n" * 50))
+        assert run(capsys, "chirality", "-") == (0, answer * 50, "")
+        assert len(calls) == 2
+
+    def test_a_repeated_violation_prints_its_whole_answer_each_time(self, capsys, monkeypatch):
+        # no expression of the language has a violation, so two are planted
+        calls = []
+        planted = [Violation("planted", "one"), Violation("planted", "two")]
+        monkeypatch.setattr(cli, "validate_realizability", lambda m: calls.append(m) or planted)
+        monkeypatch.setattr("sys.stdin", io.StringIO("S(4)\n" * 3))
+        answer = "S(4): 2 violation(s)\n  - [planted] one\n  - [planted] two\n"
+        assert run(capsys, "validate", "-") == (1, answer * 3, "")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("S(3) S(4)", "1:6: unexpected trailing input 'S'"),
+            # evaluates, and then fails as its report is written
+            (
+                "spin(1,Sigma(3000000000000000000000001))",
+                "pi_1 is free of rank 6000000000000000000000002; "
+                "a report writes out at most FREE_RANK_LIMIT = 1000000 factors",
+            ),
+        ],
+        ids=["parse", "report"],
+    )
+    def test_a_failing_line_is_reported_at_each_copy(self, capsys, monkeypatch, line, error):
+        _, report, _ = run(capsys, "eval", "S(3)")
+        calls = []
+        real = cli.evaluate_text
+        monkeypatch.setattr(
+            cli, "evaluate_text", lambda text, memo: calls.append(text) or real(text, memo)
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{line}\nS(3)\n" * 3))
+        status, out, err = run(capsys, "eval", "-")
+        assert (status, out) == (2, report * 3)
+        assert err == "".join(f"error: line {k}: {error}\n" for k in (1, 3, 5))
+        # each copy of the failing line is evaluated again; S(3) is replayed once
+        assert calls == [line, "S(3)"] * 2 + [line]
+
+    def test_only_a_repeated_line_keeps_its_answer(self, capsys, monkeypatch):
+        class Answer(str):
+            alive = 0
+
+            def __init__(self, text):
+                Answer.alive += 1
+
+            def __del__(self):
+                Answer.alive -= 1
+
+        real = cli._descriptor_report
+        monkeypatch.setattr(cli, "_descriptor_report", lambda m, as_json: Answer(real(m, as_json)))
+        alive = []  # the answers not yet freed as each line is read
+
+        def read(lines):
+            for line in lines:
+                alive.append(Answer.alive)
+                yield line
+
+        lines = [f"S({n})\n" for n in range(1, 51)] * 2
+        monkeypatch.setattr("sys.stdin", read(lines))
+        assert run(capsys, "eval", "-")[0] == 0
+        # at most the answer being printed, until lines repeat: then each keeps its second
+        assert max(alive[:51]) <= 1 and alive[-1] == 49
+        assert Answer.alive == 0
+
 
 class TestChirality:
     def test_strongly_chiral(self, capsys):
@@ -302,6 +375,18 @@ class TestTable1:
         assert labels[1].startswith("sigma_2 sigma_1 sigma_1")
         assert labels[2].startswith("sigma_3 sigma_1")
         assert labels[3].startswith("sigma_2 sigma_2")
+
+    def test_an_order_with_other_homology_fails(self, capsys, monkeypatch):
+        # one order of the row (2, 1, 1) spins N(11) in place of N(7)
+        real, other = cli.iterated_spin, cli.dehn_rhs(11)
+
+        def iterated_spin(radii, base):
+            return real(radii, other if radii == [1, 1, 2] else base)
+
+        monkeypatch.setattr(cli, "iterated_spin", iterated_spin)
+        status, out, err = run(capsys, "table1", "--p", "7")
+        assert (status, out) == (1, "")
+        assert err == "order-independence FAILED for (2, 1, 1) vs (1, 1, 2)\n"
 
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run(capsys, "table1", "--p", "11")

@@ -281,63 +281,61 @@ def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkey
     assert memoized[2].count("error: line") > 100
 
 
-def line_records(monkeypatch, capsys, argv: list[str], batches: list[str]) -> list[tuple]:
-    """(line, status, stdout, stderr) of each line of ``batches``, one ``cli.main`` call a batch.
+def line_records(monkeypatch, capsys, argv: list[str], batches: list[str]) -> tuple[list, list]:
+    """(line, stdout, stderr) of each line of ``batches``, and the exit code of each batch.
 
-    A line's stdout and stderr are what its call prints from the start of
-    its evaluation to the start of the next line's, without the stdin line
-    number of an error.  Its status is what its handler returned, or 2 if
-    it failed; each call must exit with the worst status of its lines.
+    Each batch is one ``cli.main`` call.  A line's stdout and stderr are
+    what its call prints from the time the line is read from stdin to the
+    time the next one is, without the stdin line number of an error; so a
+    line answered without being evaluated again has its record too.
     """
     records: list[list] = []
-    real_run_each, real_evaluate_text = cli._run_each, cli.evaluate_text
+    statuses = []
 
     def end_record():
         out = capsys.readouterr()
-        if records and len(records[-1]) == 2:
+        if records and len(records[-1]) == 1:
             records[-1] += [out.out, re.sub(r"(?m)^error: line \d+: ", "error: ", out.err)]
 
-    def evaluate_text(text, memo):
-        end_record()
-        records.append([text, 2])
-        return real_evaluate_text(text, memo)
-
-    def run_each(arg, handle):
-        def recorded(text, m):
-            records[-1][1] = handle(text, m)
-            return records[-1][1]
-
-        return real_run_each(arg, recorded)
+    def read(batch):
+        for line in io.StringIO(batch):
+            end_record()
+            records.append([line.strip()])
+            yield line
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "evaluate_text", evaluate_text)
-        patch.setattr(cli, "_run_each", run_each)
         # one parser for all calls: building it costs more than most lines
         patch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
         for batch in batches:
-            first = len(records)
-            patch.setattr("sys.stdin", io.StringIO(batch))
-            status = cli.main(argv)
+            patch.setattr("sys.stdin", read(batch))
+            statuses.append(cli.main(argv))
             end_record()
-            assert status == max(record[1] for record in records[first:])
-    return [tuple(record) for record in records]
+    return [tuple(record) for record in records], statuses
 
 
 @pytest.mark.parametrize("argv", BATCH_COMMANDS, ids=" ".join)
 def test_a_line_prints_the_same_in_any_batch(argv, oracle_batch, monkeypatch, capsys):
-    """A line's output depends on the line alone, not on the lines or calls before it."""
+    """A line's output depends on the line alone, not on the lines or calls before it.
+
+    The batch repeats hundreds of lines three times or more, so this is
+    also the oracle of the answers replayed within one call.
+    """
     lines = oracle_batch.splitlines(keepends=True)
 
-    def run() -> list[tuple]:
-        forward = line_records(monkeypatch, capsys, argv, ["".join(lines)])
-        backward = line_records(monkeypatch, capsys, argv, ["".join(reversed(lines))])
-        alone = line_records(monkeypatch, capsys, argv, lines)
-        assert len(alone) == len(lines)
+    def run() -> tuple[list, list]:
+        forward, [forward_status] = line_records(monkeypatch, capsys, argv, ["".join(lines)])
+        backward, [backward_status] = line_records(
+            monkeypatch, capsys, argv, ["".join(reversed(lines))]
+        )
+        alone, statuses = line_records(monkeypatch, capsys, argv, lines)
+        assert len(alone) == len(statuses) == len(lines)
         assert forward == backward[::-1] == alone
-        return alone
+        # a batch exits with the worst exit code of its lines run alone
+        assert forward_status == backward_status == max(statuses)
+        return alone, statuses
 
     first = run()
-    assert sum(status == 2 for _, status, _, _ in first) > 100
+    assert sum(status == 2 for status in first[1]) > 100
     assert run() == first
 
 
