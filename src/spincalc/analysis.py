@@ -8,14 +8,13 @@ descriptor; traces record which rule produced each conclusion.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ._value import Value, set_field
 from .construct import (
     CP,
     CSum,
     ConstructionExpr,
     DehnRHS,
+    IHS3,
     Prod,
     Sphere,
     Spin,
@@ -29,14 +28,7 @@ from .degrees import (
     exact_set,
     perfect_powers,
 )
-from .manifold import (
-    ExternallyProvenStronglyChiral,
-    Hyperbolic,
-    KnownDegreeSet,
-    ManifoldDescriptor,
-    OddOrderIsometryGroup,
-    middle_torsion,
-)
+from .manifold import ManifoldDescriptor, middle_torsion
 from .residues import minus_one_is_square_mod
 
 PROVEN_STRONGLY_CHIRAL = "proven_strongly_chiral"
@@ -103,32 +95,23 @@ def _linking_test(m: ManifoldDescriptor) -> tuple[bool, tuple[str, ...]]:
     )
 
 
-def _chirality_certificate(
-    m: ManifoldDescriptor, forbids: bool, steps: tuple[str, ...]
-) -> tuple[str, ...] | None:
-    """A proof of strong chirality: the linking test's steps, or a recorded fact."""
-    if forbids:
-        return steps
-    fact = m.get_fact(ExternallyProvenStronglyChiral)
-    return None if fact is None else (f"recorded fact: {fact.describe()}",)
-
-
 def chirality_verdict(m: ManifoldDescriptor) -> ChiralityVerdict:
     forbids, steps = _linking_test(m)
-    cert = _chirality_certificate(m, forbids, steps)
-    ds = _degree_set(m, lambda: cert)
-    if cert is not None and ds.contains_minus_one():
+    ds = degree_set(m)
+    if forbids and ds.contains_minus_one():
         raise ValueError(
             "contradictory analysis: a chirality certificate and a degree -1 "
             f"witness both apply to {m.expr}"
         )
-    if cert is not None:
-        return ChiralityVerdict(PROVEN_STRONGLY_CHIRAL, cert)
+    if forbids:
+        return ChiralityVerdict(PROVEN_STRONGLY_CHIRAL, steps)
     if ds.contains_minus_one():
         return ChiralityVerdict(
             ADMITS_DEGREE_MINUS_ONE,
             (f"degree set {ds.describe()} realizes -1 (rules: {', '.join(ds.rules)})",),
         )
+    # the linking test is the only proof of chirality; the middle line
+    # stays because schema "1" pins the trace of an inconclusive verdict
     return ChiralityVerdict(
         INCONCLUSIVE,
         (
@@ -174,18 +157,7 @@ def _sphere_level(e: ConstructionExpr) -> int:
 
 
 def degree_set(m: ManifoldDescriptor) -> DegreeSet:
-    """Infer D(M) from the construction expression and recorded facts."""
-    return _degree_set(m, lambda: _chirality_certificate(m, *_linking_test(m)))
-
-
-def _degree_set(
-    m: ManifoldDescriptor, certificate: Callable[[], tuple[str, ...] | None]
-) -> DegreeSet:
-    """``degree_set`` with the chirality certificate supplied by the caller.
-
-    The certificate is asked for only when a rule needs it, which keeps
-    residue computations out of queries that never reach that rule.
-    """
+    """Infer D(M) from the construction expression alone."""
     expr = m.expr
 
     # the spin of CP^n as a whole has degree set Z, even though no rule
@@ -199,33 +171,10 @@ def _degree_set(
         return exact_set(SIGNED_UNIT, ("hyperbolic-surface",))
     if isinstance(expr, CP) and expr.n >= 2:
         return exact_set(perfect_powers(expr.n), ("complex-projective",))
-
-    known: set[int] = {0, 1}
-    upper = DegreeSet().upper_bound
-    exact = False
-    rules: list[str] = []
-
-    fact = m.get_fact(KnownDegreeSet)
-    if fact is not None:
-        ds = fact.degrees
-        known |= ds.known_subset
-        upper = upper.intersect(ds.upper_bound)
-        exact = exact or ds.exact
-        rules.append("recorded-degree-set")
-
-    if m.has_fact(Hyperbolic):
-        if m.has_fact(OddOrderIsometryGroup) and m.dim == 3:
-            # nonzero degree forces an isometry up to homotopy; odd-order
-            # isometry groups leave only the identity's degree
-            return exact_set(NONNEGATIVE_UNIT, ("hyperbolic-odd-isometry",))
-        upper = upper.intersect(SIGNED_UNIT)
-        rules.append("positive-simplicial-volume")
-
-    if upper == SIGNED_UNIT and certificate() is not None:
-        upper = NONNEGATIVE_UNIT
-        known.discard(-1)
-        rules.append("chirality-removes-minus-one")
-
-    if not rules:
-        return DegreeSet(frozenset({0, 1}), rules=("no-rule-matched",))
-    return DegreeSet(frozenset(known), upper, exact=exact, rules=tuple(rules))
+    if isinstance(expr, DehnRHS):
+        # nonzero degree forces an isometry up to homotopy; odd-order
+        # isometry groups leave only the identity's degree
+        return exact_set(NONNEGATIVE_UNIT, ("hyperbolic-odd-isometry",))
+    if isinstance(expr, IHS3):
+        return DegreeSet(upper_bound=SIGNED_UNIT, rules=("positive-simplicial-volume",))
+    return DegreeSet(rules=("no-rule-matched",))

@@ -109,9 +109,9 @@ def _descriptor_report(m: ManifoldDescriptor, as_json: bool) -> str:
         _indent(str(cohomology)),
         "duality check: ok",
     ]
-    if m.facts:
+    if m.expr.facts:
         lines.append("facts:")
-        lines.extend(f"  - {f.describe()}" for f in sorted(m.facts, key=lambda f: f.describe()))
+        lines.extend(f"  - {f}" for f in sorted(m.expr.facts))
     if violations:
         lines.append("violations:")
         lines.extend(f"  - [{v.code}] {v.message}" for v in violations)

@@ -11,16 +11,12 @@ from typing import ClassVar
 
 from ._value import Value, set_field
 from .abelian import Z, cyclic, free, kunneth_terms, normalize
-from .degrees import ALL_INTEGERS, exact_set
 from .graded import GradedGroup, homology_from_cohomology
 from .manifold import (
     FiniteCyclic,
     FreeGroup,
-    Hyperbolic,
     HyperbolicThreeManifoldGroup,
-    KnownDegreeSet,
     ManifoldDescriptor,
-    OddOrderIsometryGroup,
     SurfaceGroup,
     Trivial,
     direct_product,
@@ -37,11 +33,14 @@ class ConstructionExpr(Value):
     """AST node; leaves are generators, internal nodes combinators.
 
     Each node class names itself in the construction language with
-    ``name``; ``str`` prints that name and then the fields in order.
+    ``name``; ``str`` prints that name and then the fields in order.  A
+    generator lists in ``facts`` what is taken on faith about every
+    manifold it names; ``eval`` prints them.
     """
 
     __slots__ = ()
     name: ClassVar[str]
+    facts: ClassVar[tuple[str, ...]] = ()
 
     def __str__(self) -> str:
         args = ""
@@ -52,6 +51,7 @@ class ConstructionExpr(Value):
 
 class Sphere(ConstructionExpr):
     name = "S"
+    facts = ("degree set known: Z (all integers)",)
     __slots__ = __match_args__ = ("n",)
 
     def __init__(self, n: int) -> None:
@@ -85,6 +85,7 @@ class Lens(ConstructionExpr):
 
 class DehnRHS(ConstructionExpr):
     name = "N"
+    facts = ("admits a closed real hyperbolic metric", "full isometry group has odd order")
     __slots__ = __match_args__ = ("p",)
 
     def __init__(self, p: int) -> None:
@@ -93,6 +94,7 @@ class DehnRHS(ConstructionExpr):
 
 class IHS3(ConstructionExpr):
     name = "IHS3"
+    facts = ("admits a closed real hyperbolic metric",)
     __slots__ = ()
 
 
@@ -132,11 +134,6 @@ class Prod(ConstructionExpr):
         set_field(self, "right", right)
 
 
-_SPHERE_FACTS = frozenset({KnownDegreeSet(exact_set(ALL_INTEGERS, ("sphere",)))})
-_DEHN_RHS_FACTS = frozenset({Hyperbolic(), OddOrderIsometryGroup()})
-_IHS3_FACTS = frozenset({Hyperbolic()})
-
-
 # -- generators -----------------------------------------------------------------
 
 
@@ -145,7 +142,7 @@ def sphere(n: int) -> ManifoldDescriptor:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     homology = GradedGroup(n, ((0, Z), (n, Z)))
     pi1 = FreeGroup(1) if n == 1 else Trivial()
-    return make_descriptor(Sphere(n), n, homology, pi1, facts=_SPHERE_FACTS)
+    return make_descriptor(Sphere(n), n, homology, pi1)
 
 
 def cp(n: int) -> ManifoldDescriptor:
@@ -178,25 +175,19 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     """A hyperbolic rational homology 3-sphere with H_1 = Z_2p.
 
     Existence is axiomatized (surgery on a hyperbolic knot complement);
-    the descriptor also records that the isometry group can be taken of
-    odd order.
+    ``DehnRHS.facts`` also takes on faith that the isometry group can be
+    taken of odd order.
     """
     if not is_prime(p):
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
     homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
-    return make_descriptor(
-        DehnRHS(p), 3, homology,
-        HyperbolicThreeManifoldGroup(), facts=_DEHN_RHS_FACTS,
-    )
+    return make_descriptor(DehnRHS(p), 3, homology, HyperbolicThreeManifoldGroup())
 
 
 def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
     homology = GradedGroup(3, ((0, Z), (3, Z)))
-    return make_descriptor(
-        IHS3(), 3, homology,
-        HyperbolicThreeManifoldGroup(), facts=_IHS3_FACTS,
-    )
+    return make_descriptor(IHS3(), 3, homology, HyperbolicThreeManifoldGroup())
 
 
 def bundle(m: int, d: int) -> ManifoldDescriptor:

@@ -7,8 +7,6 @@ set, and whether the two coincide exactly.
 
 from __future__ import annotations
 
-from math import lcm
-
 from ._value import Value, set_field
 
 
@@ -57,17 +55,6 @@ class UpperBound(Value):
             return _integer_nth_root(d, n) ** n == d
         raise ValueError(f"unknown upper bound kind {self.kind!r}")
 
-    def intersect(self, other: "UpperBound") -> "UpperBound":
-        """The meet: the bound containing exactly the degrees both contain."""
-        a, b = sorted((self, other), key=lambda u: _TIGHTNESS[u.kind])
-        # b is at least as tight as a; only perfect powers can cut it further
-        if a.kind == "perfect_powers":
-            if b.kind == "perfect_powers":
-                return perfect_powers(lcm(a.exponent, b.exponent))
-            if b.kind == "signed_unit" and a.exponent % 2 == 0:
-                return NONNEGATIVE_UNIT  # -1 is no even power
-        return b
-
     def describe(self) -> str:
         if self.kind == "all":
             return "Z (all integers)"
@@ -80,8 +67,6 @@ class UpperBound(Value):
         return "unknown"
 
 
-# kinds from loosest to tightest; "unknown" and "all" both admit every degree
-_TIGHTNESS = {"unknown": 0, "all": 1, "perfect_powers": 2, "signed_unit": 3, "nonnegative_unit": 4}
 ALL_INTEGERS = UpperBound("all")
 SIGNED_UNIT = UpperBound("signed_unit")
 NONNEGATIVE_UNIT = UpperBound("nonnegative_unit")

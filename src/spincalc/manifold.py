@@ -2,9 +2,9 @@
 
 A descriptor records everything the engine knows about a closed
 connected oriented manifold: dimension, exact integral homology, a
-structural tag for the fundamental group, axiomatized facts, and the
-construction expression; the connectivity is derived from the homology
-and pi_1 when it is read.
+structural tag for the fundamental group, and the construction
+expression, whose generator classes list the facts taken on faith; the
+connectivity is derived from the homology and pi_1 when it is read.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Any, Iterator
 
 from ._value import Value, set_field
 from .abelian import AbGroup
-from .degrees import DegreeSet
 from .graded import GradedGroup, check_poincare_duality, cohomology_from_homology
 
 
@@ -160,52 +159,6 @@ def direct_product(*parts: Pi1Tag) -> Pi1Tag:
     return _combine(DirectProduct, list(parts))
 
 
-# -- axiomatized facts --------------------------------------------------------
-
-
-class AxiomFact(Value):
-    """A property taken on faith at generator construction or by assertion."""
-
-    __slots__ = ()
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-class Hyperbolic(AxiomFact):
-    __slots__ = ()
-
-    def describe(self) -> str:
-        return "admits a closed real hyperbolic metric"
-
-
-class OddOrderIsometryGroup(AxiomFact):
-    __slots__ = ()
-
-    def describe(self) -> str:
-        return "full isometry group has odd order"
-
-
-class ExternallyProvenStronglyChiral(AxiomFact):
-    __slots__ = __match_args__ = ("citation",)
-
-    def __init__(self, citation: str) -> None:
-        set_field(self, "citation", citation)
-
-    def describe(self) -> str:
-        return f"strongly chiral by external result: {self.citation}"
-
-
-class KnownDegreeSet(AxiomFact):
-    __slots__ = __match_args__ = ("degrees",)
-
-    def __init__(self, degrees: DegreeSet) -> None:
-        set_field(self, "degrees", degrees)
-
-    def describe(self) -> str:
-        return f"degree set known: {self.degrees.describe()}"
-
-
 # -- the descriptor -----------------------------------------------------------
 
 
@@ -214,21 +167,13 @@ class InvalidDescriptor(ValueError):
 
 
 class ManifoldDescriptor(Value):
-    __slots__ = __match_args__ = ("expr", "dim", "homology", "pi1", "facts")
+    __slots__ = __match_args__ = ("expr", "dim", "homology", "pi1")
 
-    def __init__(
-        self,
-        expr: Any,
-        dim: int,
-        homology: GradedGroup,
-        pi1: Pi1Tag,
-        facts: frozenset[AxiomFact] = frozenset(),
-    ) -> None:
+    def __init__(self, expr: Any, dim: int, homology: GradedGroup, pi1: Pi1Tag) -> None:
         set_field(self, "expr", expr)  # a ConstructionExpr, typed loosely to avoid an import cycle
         set_field(self, "dim", dim)
         set_field(self, "homology", homology)
         set_field(self, "pi1", pi1)
-        set_field(self, "facts", facts)
 
     @property
     def connectivity(self) -> int:
@@ -237,19 +182,6 @@ class ManifoldDescriptor(Value):
     def cohomology(self) -> GradedGroup:
         return cohomology_from_homology(self.homology, self.dim)
 
-    def has_fact(self, kind: type) -> bool:
-        return any(isinstance(f, kind) for f in self.facts)
-
-    def get_fact(self, kind: type) -> AxiomFact | None:
-        for f in self.facts:
-            if isinstance(f, kind):
-                return f
-        return None
-
-    def is_rational_homology_sphere(self) -> bool:
-        """All intermediate groups torsion (free ranks vanish for 0 < i < n)."""
-        return all(g.rank == 0 for d, g in self.homology.entries if 0 < d < self.dim)
-
     def to_json(self) -> dict:
         return {
             "expr": str(self.expr),
@@ -257,18 +189,11 @@ class ManifoldDescriptor(Value):
             "homology": self.homology.to_json(),
             "pi1": self.pi1.describe(),
             "connectivity": self.connectivity,
-            "facts": sorted(f.describe() for f in self.facts),
+            "facts": sorted(self.expr.facts),
         }
 
 
-def make_descriptor(
-    expr: Any,
-    dim: int,
-    homology: GradedGroup,
-    pi1: Pi1Tag,
-    *,
-    facts: frozenset[AxiomFact] = frozenset(),
-) -> ManifoldDescriptor:
+def make_descriptor(expr: Any, dim: int, homology: GradedGroup, pi1: Pi1Tag) -> ManifoldDescriptor:
     """Validated construction: closed connected oriented invariants enforced.
 
     Poincare duality covers the top degree and H_0 = H_dim = Z.
@@ -280,7 +205,7 @@ def make_descriptor(
         raise InvalidDescriptor(f"duality fails: {report.message}")
     if isinstance(pi1, Trivial) and not homology.group(1).is_trivial:
         raise InvalidDescriptor("trivial pi_1 forces trivial H_1")
-    return ManifoldDescriptor(expr, dim, homology, pi1, facts)
+    return ManifoldDescriptor(expr, dim, homology, pi1)
 
 
 def homological_connectivity(homology: GradedGroup, pi1: Pi1Tag) -> int:
@@ -345,21 +270,5 @@ def validate_realizability(m: ManifoldDescriptor) -> list[Violation]:
                 f"dimension {m.dim} = 2({k})+1 with k even cannot have "
                 f"Tor H^{k + 1} = Z_{q} (q > 2)",
             ))
-
-    if m.has_fact(Hyperbolic) and m.dim % 2 == 0:
-        chi = m.homology.euler_characteristic()
-        if chi == 0 or (chi > 0) != (m.dim // 2 % 2 == 0):
-            out.append(Violation(
-                "euler-sign",
-                f"closed hyperbolic manifolds of dimension {m.dim} need "
-                f"(-1)^{m.dim // 2} * chi > 0, but chi = {chi}",
-            ))
-
-    if m.has_fact(Hyperbolic) and m.dim % 4 == 2 and m.is_rational_homology_sphere():
-        out.append(Violation(
-            "hyperbolic-qhs-dim-4k+2",
-            f"no hyperbolic rational homology sphere exists in dimension {m.dim} "
-            "(its Euler characteristic 2 has the wrong sign)",
-        ))
 
     return out

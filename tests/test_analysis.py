@@ -30,13 +30,11 @@ from spincalc.construct import (
     lens,
     pipeline_main,
     pipeline_main2,
-    product,
     sphere,
     spin,
     surface,
 )
 from spincalc.dsl import evaluate_text
-from spincalc.manifold import ExternallyProvenStronglyChiral, Hyperbolic, ManifoldDescriptor
 from spincalc.residues import (
     MR_EXACT_BOUND,
     factorize,
@@ -247,14 +245,6 @@ class TestChirality:
         assert chirality_verdict(m).kind == INCONCLUSIVE
         assert calls == [m]
 
-    def test_external_fact_certifies(self):
-        m = product(dehn_rhs(7), evaluate_text("E(1,7)"))
-        fact = ExternallyProvenStronglyChiral("product criterion, external")
-        m = ManifoldDescriptor(m.expr, m.dim, m.homology, m.pi1, m.facts | {fact})
-        verdict = chirality_verdict(m)
-        assert verdict.kind == PROVEN_STRONGLY_CHIRAL
-        assert any("external" in step for step in verdict.trace)
-
     def test_dehn_filling_of_a_1_mod_4_prime_needs_no_primality_test(self, monkeypatch):
         """dehn_rhs certified p, so -1 mod 2p is read off p mod 4."""
         m = dehn_rhs(999999999989)  # prime, = 1 (mod 4)
@@ -273,13 +263,11 @@ class TestChirality:
             "  - degree-set engine does not realize -1"
         )
 
-    def test_contradictory_fact_raises(self):
-        m = sphere(3)
-        m = ManifoldDescriptor(
-            m.expr, m.dim, m.homology, m.pi1, m.facts | {ExternallyProvenStronglyChiral("bogus")}
-        )
-        with pytest.raises(ValueError):
-            chirality_verdict(m)
+    def test_contradictory_analysis_raises(self, monkeypatch):
+        """A proof of chirality beside a degree -1 witness is an internal error."""
+        monkeypatch.setattr(analysis, "_linking_test", lambda m: (True, ("planted proof",)))
+        with pytest.raises(ValueError, match="^contradictory analysis"):
+            chirality_verdict(sphere(3))
 
     @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31, 43, 47])
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
@@ -360,17 +348,6 @@ class TestDegreeSets:
     def test_spin_distributes_over_csum_of_sphere_products(self):
         ds = degree_set(evaluate_text("spin(5, csum(prod(S(2),S(3)), prod(S(1),S(4))))"))
         assert ds.exact and ds.upper_bound.kind == "all"
-
-    def test_hyperbolic_fact_bounds(self):
-        m = pipeline_main(1, 7)
-        before = degree_set(m)
-        hyperbolic = ManifoldDescriptor(m.expr, m.dim, m.homology, m.pi1, m.facts | {Hyperbolic()})
-        after = degree_set(hyperbolic)
-        # adding a fact only ever shrinks the bound; here the chirality
-        # certificate tightens the simplicial-volume bound further
-        assert before.upper_bound.kind == "unknown"
-        assert after.upper_bound.kind == "nonnegative_unit"
-        assert not after.contains_minus_one()
 
     def test_ihs3_hyperbolic_bound(self):
         from spincalc.construct import ihs3

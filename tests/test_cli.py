@@ -80,6 +80,70 @@ violations:    none
 """
 
 
+# the exact stdout of `eval` for the two hyperbolic generators, whose facts
+# are listed sorted, one line each
+N7_TEXT = """\
+expression:    N(7)
+dimension:     3
+pi_1:          pi_1(hyperbolic 3-manifold #1)
+connectivity:  0
+euler char:    0
+homology H_i:
+  Z, for i = 0, 3
+  Z_14, for i = 1
+  0, otherwise
+cohomology H^i:
+  Z, for i = 0, 3
+  Z_14, for i = 2
+  0, otherwise
+duality check: ok
+facts:
+  - admits a closed real hyperbolic metric
+  - full isometry group has odd order
+violations:    none
+"""
+IHS3_TEXT = """\
+expression:    IHS3
+dimension:     3
+pi_1:          pi_1(hyperbolic 3-manifold #1)
+connectivity:  0
+euler char:    0
+homology H_i:
+  Z, for i = 0, 3
+  0, otherwise
+cohomology H^i:
+  Z, for i = 0, 3
+  0, otherwise
+duality check: ok
+facts:
+  - admits a closed real hyperbolic metric
+violations:    none
+"""
+
+HYPERBOLIC = "admits a closed real hyperbolic metric"
+ODD_ISOMETRY = "full isometry group has odd order"
+
+
+def hyperbolic_json(expr: str, torsion: list[int], facts: list[str]) -> str:
+    """The exact stdout of `eval --json` of a hyperbolic generator; ``torsion`` factors H_1."""
+    z = {"rank": 1, "factors": []}
+    tor = {"rank": 0, "factors": torsion}
+    payload = {
+        "schema": "1",
+        "expr": expr,
+        "dim": 3,
+        "homology": {"top": 3, "groups": {"0": z, **({"1": tor} if torsion else {}), "3": z}},
+        "pi1": "pi_1(hyperbolic 3-manifold #1)",
+        "connectivity": 0,
+        "facts": facts,
+        "cohomology": {"top": 3, "groups": {"0": z, **({"2": tor} if torsion else {}), "3": z}},
+        "euler_characteristic": 0,
+        "duality": True,
+        "violations": [],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestEval:
     def test_text_report(self, capsys):
         status, out, _ = run(capsys, "eval", "N(7)")
@@ -361,6 +425,49 @@ class TestDegrees:
     def test_dehn(self, capsys):
         _, out, _ = run(capsys, "degrees", "N(7)")
         assert "{0, 1}" in out
+
+
+class TestGeneratorFacts:
+    """What a generator takes on faith, as `eval` and `degrees` print it."""
+
+    @pytest.mark.parametrize(
+        "expr, text, payload",
+        [
+            ("N(7)", N7_TEXT, hyperbolic_json("N(7)", [14], [HYPERBOLIC, ODD_ISOMETRY])),
+            ("IHS3", IHS3_TEXT, hyperbolic_json("IHS3", [], [HYPERBOLIC])),
+        ],
+    )
+    def test_eval_of_a_hyperbolic_generator_byte_for_byte(self, capsys, expr, text, payload):
+        assert run(capsys, "eval", expr) == (0, text, "")
+        assert run(capsys, "eval", expr, "--json") == (0, payload, "")
+
+    @pytest.mark.parametrize("expr", ["csum(S(3),N(7))", "spin(4,IHS3)"])
+    def test_a_combinator_root_lists_no_facts(self, capsys, expr):
+        status, out, err = run(capsys, "eval", expr)
+        assert (status, err) == (0, "")
+        assert "facts:" not in out
+        status, out, err = run(capsys, "eval", expr, "--json")
+        assert (status, err) == (0, "")
+        assert '\n  "facts": [],\n' in out
+
+    @pytest.mark.parametrize(
+        "expr, text, bound, exact, rule",
+        [
+            (
+                "IHS3", "contains [0, 1]; contained in {-1, 0, 1}", "{-1, 0, 1}", False,
+                "positive-simplicial-volume",
+            ),
+            ("N(7)", "{0, 1}", "{0, 1}", True, "hyperbolic-odd-isometry"),
+        ],
+    )
+    def test_degrees_of_a_hyperbolic_generator(self, capsys, expr, text, bound, exact, rule):
+        assert run(capsys, "degrees", expr) == (0, f"D({expr}) = {text}\n", "")
+        payload = {
+            "schema": "1", "expr": expr, "known": [0, 1], "upper_bound": bound,
+            "exact": exact, "rules": [rule],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "degrees", "--json", expr) == (0, expected, "")
 
 
 class TestTable1:

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spincalc.degrees import (
-    ALL_INTEGERS,
     NONNEGATIVE_UNIT,
     SIGNED_UNIT,
-    UNKNOWN_BOUND,
     DegreeSet,
     _integer_nth_root,
     perfect_powers,
@@ -32,31 +30,6 @@ class TestIntegerRoot:
     def test_floor_root(self, x, n):
         r = _integer_nth_root(x, n)
         assert r**n <= x < (r + 1) ** n
-
-
-BOUNDS = st.one_of(
-    st.sampled_from([UNKNOWN_BOUND, ALL_INTEGERS, SIGNED_UNIT, NONNEGATIVE_UNIT]),
-    st.integers(1, 12).map(perfect_powers),
-)
-
-
-class TestMeet:
-    def test_perfect_powers_meet_at_the_lcm(self):
-        assert perfect_powers(2).intersect(perfect_powers(3)) == perfect_powers(6)
-        assert perfect_powers(4).intersect(perfect_powers(6)) == perfect_powers(12)
-
-    def test_even_powers_drop_minus_one(self):
-        assert SIGNED_UNIT.intersect(perfect_powers(2)) == NONNEGATIVE_UNIT
-        assert perfect_powers(3).intersect(SIGNED_UNIT) == SIGNED_UNIT
-
-    # the small window keeps the units, where most kinds differ, well sampled
-    @given(BOUNDS, BOUNDS, st.one_of(st.integers(-2, 2), st.integers(-(10**4), 10**4)))
-    def test_meet_contains_exactly_the_common_degrees(self, a, b, x):
-        assert a.intersect(b).contains(x) == (a.contains(x) and b.contains(x))
-
-    @given(BOUNDS, BOUNDS)
-    def test_commutative(self, a, b):
-        assert a.intersect(b) == b.intersect(a)
 
 
 class TestDegreeSetInvariants:

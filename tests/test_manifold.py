@@ -17,7 +17,6 @@ from spincalc.manifold import (
     FiniteCyclic,
     FreeGroup,
     FreeProduct,
-    Hyperbolic,
     InvalidDescriptor,
     SurfaceGroup,
     Trivial,
@@ -96,13 +95,6 @@ class TestDescriptorInvariants:
         with pytest.raises(InvalidDescriptor):
             make_descriptor("test", 3, h, Trivial())
 
-    def test_facts_is_keyword_only(self):
-        h = GradedGroup.from_dict({0: Z, 3: Z}, 3)
-        with pytest.raises(TypeError):
-            make_descriptor("test", 3, h, SurfaceGroup(2), frozenset({Hyperbolic()}))
-        m = make_descriptor("test", 3, h, SurfaceGroup(2), facts=frozenset({Hyperbolic()}))
-        assert m.has_fact(Hyperbolic)
-
     def test_connectivity_is_derived(self):
         h = GradedGroup.from_dict({0: Z, 3: cyclic(3), 7: Z}, 7)
         assert make_descriptor("test", 7, h, Trivial()).connectivity == 2
@@ -170,12 +162,6 @@ class TestRealizability:
         m = make_descriptor("test", 5, h, SurfaceGroup(2))
         codes = [v.code for v in validate_realizability(m)]
         assert codes == ["middle-torsion-cyclic"]
-
-    def test_hyperbolic_even_dim_rational_homology_sphere(self):
-        h = GradedGroup.from_dict({0: Z, 6: Z}, 6)
-        m = make_descriptor("test", 6, h, SurfaceGroup(2), facts=frozenset({Hyperbolic()}))
-        codes = {v.code for v in validate_realizability(m)}
-        assert codes == {"euler-sign", "hyperbolic-qhs-dim-4k+2"}
 
     def test_generators_pass(self):
         for m in (dehn_rhs(7), ihs3(), sphere(4), bundle(2, 3)):
