@@ -35,6 +35,7 @@ from spincalc.construct import (
     surface,
 )
 from spincalc.dsl import evaluate_text
+from spincalc.manifold import ManifoldDescriptor, Trivial
 from spincalc.residues import (
     MR_EXACT_BOUND,
     factorize,
@@ -354,6 +355,27 @@ class TestDegreeSets:
 
         ds = degree_set(ihs3())
         assert ds.upper_bound.kind == "signed_unit"
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_dehn_filling_is_exact_for_either_residue_of_p(self, p):
+        ds = degree_set(dehn_rhs(p))
+        assert ds.exact and ds.known_subset == frozenset({0, 1})
+        assert ds.rules == ("hyperbolic-odd-isometry",)
+        assert not ds.contains_minus_one()
+
+    @pytest.mark.parametrize(
+        "text", ["csum(S(3),N(7))", "prod(N(7),E(1,7))", "spin(4,IHS3)"]
+    )
+    def test_a_combinator_of_a_hyperbolic_generator_matches_no_rule(self, text):
+        """A generator's facts stay with its own node: no combinator inherits them."""
+        ds = degree_set(evaluate_text(text))
+        assert ds.rules == ("no-rule-matched",)
+        assert not ds.exact and ds.upper_bound.kind == "unknown"
+
+    def test_degree_set_reads_only_the_expression(self):
+        m = dehn_rhs(7)
+        other = ManifoldDescriptor(m.expr, 3, sphere(3).homology, Trivial())
+        assert degree_set(other) == degree_set(m)
 
     def test_exclusivity_on_samples(self):
         for m in (sphere(5), cp(2), surface(2), dehn_rhs(7), pipeline_main(1, 7)):

@@ -111,6 +111,37 @@ class TestHyperbolicGenerators:
         assert dict(spun.homology.entries) == {0: Z, 7: Z}
 
 
+HYPERBOLIC = "admits a closed real hyperbolic metric"
+ODD_ISOMETRY = "full isometry group has odd order"
+
+
+class TestGeneratorFacts:
+    """A generator lists what is taken on faith about it; a combinator lists nothing."""
+
+    @pytest.mark.parametrize(
+        "text, facts",
+        [
+            ("S(3)", ("degree set known: Z (all integers)",)),
+            ("CP(2)", ()),
+            ("Sigma(2)", ()),
+            ("L(7,3)", ()),
+            ("N(7)", (HYPERBOLIC, ODD_ISOMETRY)),
+            ("IHS3", (HYPERBOLIC,)),
+            ("E(1,7)", ()),
+            ("spin(4,N(7))", ()),
+            ("csum(S(3),N(7))", ()),
+            ("prod(N(7),IHS3)", ()),
+        ],
+    )
+    def test_facts_of_each_expression_class(self, text, facts):
+        assert evaluate_text(text).expr.facts == facts
+
+    def test_facts_belong_to_the_class_not_the_value(self):
+        assert Sphere(3).facts is Sphere(5).facts is Sphere.facts
+        assert Sphere(3) != Sphere(5)
+        assert "facts" not in Sphere.__match_args__
+
+
 class TestBundle:
     def test_gysin_torsion(self):
         e1 = bundle(1, 7)

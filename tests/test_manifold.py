@@ -95,6 +95,14 @@ class TestDescriptorInvariants:
         with pytest.raises(InvalidDescriptor):
             make_descriptor("test", 3, h, Trivial())
 
+    def test_takes_no_facts(self):
+        """What is taken on faith lives on the expression, not the descriptor."""
+        h = GradedGroup.from_dict({0: Z, 3: Z}, 3)
+        with pytest.raises(TypeError):
+            make_descriptor("test", 3, h, SurfaceGroup(2), facts=frozenset())
+        with pytest.raises(TypeError):
+            manifold.ManifoldDescriptor("test", 3, h, SurfaceGroup(2), frozenset())
+
     def test_connectivity_is_derived(self):
         h = GradedGroup.from_dict({0: Z, 3: cyclic(3), 7: Z}, 7)
         assert make_descriptor("test", 7, h, Trivial()).connectivity == 2
