@@ -3,6 +3,11 @@
 Every operation returns a validated :class:`ManifoldDescriptor`.  The
 construction expression is carried along as provenance and is what the
 degree-set rules later read.
+
+Homology is a pure function of a rule's inputs, so each operation looks
+it up in one rule table for the process before computing it.  Arguments
+are checked, pi_1 is worked out and the descriptor is made and validated
+on every call.
 """
 
 from __future__ import annotations
@@ -134,30 +139,46 @@ class Prod(ConstructionExpr):
         set_field(self, "right", right)
 
 
+# -- the rule table ---------------------------------------------------------------
+
+# The homology each rule gave, keyed by the rule and every input it reads: a
+# generator's integers, or a combinator's integers and dimensions and the ids
+# of its operands' GradedGroups.  An entry is (homology, *operands): it holds
+# its operands, so no id in a live key can be reused.  ``dsl.Memo`` empties it.
+_rules: dict[tuple, tuple] = {}
+
+
 # -- generators -----------------------------------------------------------------
 
 
 def sphere(n: int) -> ManifoldDescriptor:
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    homology = GradedGroup(n, ((0, Z), (n, Z)))
+    hit = _rules.get(("S", n))
+    if hit is None:
+        hit = _rules["S", n] = (GradedGroup(n, ((0, Z), (n, Z))),)
     pi1 = FreeGroup(1) if n == 1 else Trivial()
-    return make_descriptor(Sphere(n), n, homology, pi1)
+    return make_descriptor(Sphere(n), n, hit[0], pi1)
 
 
 def cp(n: int) -> ManifoldDescriptor:
     """Complex projective n-space: Z in every even degree up to 2n."""
     if n < 1:
         raise ValueError(f"CP index must be >= 1, got {n}")
-    homology = GradedGroup(2 * n, tuple([(d, Z) for d in range(0, 2 * n + 1, 2)]))
-    return make_descriptor(CP(n), 2 * n, homology, Trivial())
+    hit = _rules.get(("CP", n))
+    if hit is None:
+        entries = tuple([(d, Z) for d in range(0, 2 * n + 1, 2)])
+        hit = _rules["CP", n] = (GradedGroup(2 * n, entries),)
+    return make_descriptor(CP(n), 2 * n, hit[0], Trivial())
 
 
 def surface(genus: int) -> ManifoldDescriptor:
     if genus < 2:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
-    homology = GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z)))
-    return make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus))
+    hit = _rules.get(("Sigma", genus))
+    if hit is None:
+        hit = _rules["Sigma", genus] = (GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z))),)
+    return make_descriptor(Surface(genus), 2, hit[0], SurfaceGroup(genus))
 
 
 def lens(p: int, dim: int) -> ManifoldDescriptor:
@@ -166,9 +187,12 @@ def lens(p: int, dim: int) -> ManifoldDescriptor:
         raise ValueError(f"lens order must be >= 2, got {p}")
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"lens dimension must be odd and >= 3, got {dim}")
-    torsion = cyclic(p)
-    homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
-    return make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p))
+    hit = _rules.get(("L", p, dim))
+    if hit is None:
+        torsion = cyclic(p)
+        homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
+        hit = _rules["L", p, dim] = (homology,)
+    return make_descriptor(Lens(p, dim), dim, hit[0], FiniteCyclic(p))
 
 
 def dehn_rhs(p: int) -> ManifoldDescriptor:
@@ -180,14 +204,18 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
     """
     if not is_prime(p):
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
-    homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
-    return make_descriptor(DehnRHS(p), 3, homology, HyperbolicThreeManifoldGroup())
+    hit = _rules.get(("N", p))
+    if hit is None:
+        hit = _rules["N", p] = (GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z))),)
+    return make_descriptor(DehnRHS(p), 3, hit[0], HyperbolicThreeManifoldGroup())
 
 
 def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
-    homology = GradedGroup(3, ((0, Z), (3, Z)))
-    return make_descriptor(IHS3(), 3, homology, HyperbolicThreeManifoldGroup())
+    hit = _rules.get(("IHS3",))
+    if hit is None:
+        hit = _rules["IHS3",] = (GradedGroup(3, ((0, Z), (3, Z))),)
+    return make_descriptor(IHS3(), 3, hit[0], HyperbolicThreeManifoldGroup())
 
 
 def bundle(m: int, d: int) -> ManifoldDescriptor:
@@ -201,10 +229,12 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     if d == 0:
         raise ValueError("Euler multiple must be nonzero (use prod for the trivial bundle)")
     dim = 4 * m + 3
-    cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
-    homology = homology_from_cohomology(cohomology, dim)
+    hit = _rules.get(("E", m, d))
+    if hit is None:
+        cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
+        hit = _rules["E", m, d] = (homology_from_cohomology(cohomology, dim),)
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
-    return make_descriptor(Bundle(m, d), dim, homology, pi1)
+    return make_descriptor(Bundle(m, d), dim, hit[0], pi1)
 
 
 # -- combinators -----------------------------------------------------------------
@@ -228,9 +258,13 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if m.dim == 2 and not isinstance(pi1, Trivial):
         pi1 = FreeGroup(2 * _surface_genus(m))
     new_dim = m.dim + r
-    entries = m.homology.entries
-    homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
-    return make_descriptor(Spin(r, m.expr), new_dim, homology, pi1)
+    h = m.homology
+    hit = _rules.get(("spin", r, m.dim, id(h)))
+    if hit is None:
+        entries = h.entries
+        homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
+        hit = _rules["spin", r, m.dim, id(h)] = (homology, h)
+    return make_descriptor(Spin(r, m.expr), new_dim, hit[0], pi1)
 
 
 def _surface_genus(m: ManifoldDescriptor) -> int:
@@ -247,20 +281,20 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
         raise ValueError(f"connected sum needs equal dimensions, got {a.dim} and {b.dim}")
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
-    # H_0 and H_n stay Z; in between the groups add degreewise
-    homology = GradedGroup.from_sum(a.dim, a.homology.entries, b.homology.entries[1:-1])
-    return make_descriptor(
-        CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1)
-    )
+    g, h = a.homology, b.homology
+    hit = _rules.get(("csum", a.dim, id(g), id(h)))
+    if hit is None:
+        # H_0 and H_n stay Z; in between the groups add degreewise
+        homology = GradedGroup.from_sum(a.dim, g.entries, h.entries[1:-1])
+        hit = _rules["csum", a.dim, id(g), id(h)] = (homology, g, h)
+    return make_descriptor(CSum(a.expr, b.expr), a.dim, hit[0], free_product(a.pi1, b.pi1))
 
 
 def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     """Cartesian product; homology by the integral Kunneth formula.
 
-    Only pairs of nonzero entries A = H_i(a), B = H_j(b) contribute: A (x) B
-    in degree i+j and Tor(A, B) in i+j+1.  Each pair costs one
-    :func:`kunneth_terms` call, whose free rank and raw orders are added
-    up per degree; each output degree is then normalized once.
+    See :func:`_kunneth`, which runs only when the rule table has no
+    product of these two homology groups.
 
     >>> print(product(lens(3, 3), lens(3, 3)).homology)
     Z, for i = 0, 6
@@ -270,18 +304,32 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     0, otherwise
     """
     n = a.dim + b.dim
+    g, h = a.homology, b.homology
+    hit = _rules.get(("prod", n, id(g), id(h)))
+    if hit is None:
+        hit = _rules["prod", n, id(g), id(h)] = (_kunneth(g, h, n), g, h)
+    return make_descriptor(Prod(a.expr, b.expr), n, hit[0], direct_product(a.pi1, b.pi1))
+
+
+def _kunneth(a: GradedGroup, b: GradedGroup, n: int) -> GradedGroup:
+    """The integral Kunneth formula, up to top degree n.
+
+    Only pairs of nonzero entries A = a_i, B = b_j contribute: A (x) B in
+    degree i+j and Tor(A, B) in i+j+1.  Each pair costs one
+    :func:`kunneth_terms` call, whose free rank and raw orders are added
+    up per degree; each output degree is then normalized once.
+    """
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
-    for i, g in a.homology.entries:
-        for j, h in b.homology.entries:
+    for i, g in a.entries:
+        for j, h in b.entries:
             rank, tensor, tor = kunneth_terms(g, h)
             ranks[i + j] = ranks.get(i + j, 0) + rank
             orders.setdefault(i + j, []).extend(tensor)
             if tor:
                 orders.setdefault(i + j + 1, []).extend(tor)
     groups = {k: normalize(o, ranks.get(k, 0)) for k, o in orders.items()}
-    homology = GradedGroup.from_dict(groups, n)
-    return make_descriptor(Prod(a.expr, b.expr), n, homology, direct_product(a.pi1, b.pi1))
+    return GradedGroup.from_dict(groups, n)
 
 
 def iterated_spin(radii: list[int], m: ManifoldDescriptor) -> ManifoldDescriptor:

@@ -17,11 +17,17 @@ which ``str`` prints, so printing an AST round-trips through :func:`parse`.
 
 The parser hash-conses every node into one table for the whole process,
 and keeps each line it parses in full, so a line is parsed once however
-many commands read it.  A :class:`Memo` lets one command build each
-distinct sub-expression of its lines once: :func:`evaluate` reuses the
-descriptors of the nodes that repeat.  Evaluation is a pure function of
-the AST, hyperbolic pi_1 tags included (they are numbered only when
-printed), so a reused descriptor is the one a rebuild would give.
+many commands read it.  The constructions look homology up in the rule
+table of :mod:`construct`, keyed on the identity of their operands'
+homology, so the homology of each distinct sub-expression is computed
+once per process, by the first command to evaluate it, and looked up
+after that.  A :class:`Memo` serves one command: :func:`evaluate` calls a
+node's construction, which checks its arguments and makes and validates
+a descriptor, at the node's first and second evaluation in the command,
+and from the third on returns the descriptor kept from the second.
+Evaluation is a pure function of the AST, hyperbolic pi_1 tags included
+(they are numbered only when printed), so a reused descriptor or
+homology is the one a rebuild would give.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ _BY_NODE = {kind.node: kind for kind in KINDS}
 # ``_nodes`` interns every parsed node on (class, ints, child ids), so
 # equal sub-expressions are one object and a node's id stands for its value
 # while the table holds it.  ``_lines`` maps each line parsed in full to its
-# node.  Sharing the table between commands changes no output; :class:`Memo`
-# says when it is emptied.
+# node.  Sharing it, and ``construct._rules``, between commands changes no
+# output; :class:`Memo` says when they are emptied.
 TABLE_CAP = 100_000
 _nodes: dict[tuple, ConstructionExpr] = {}
 _lines: dict[str, ConstructionExpr] = {}
@@ -79,18 +85,19 @@ class Memo:
     nodes keep a descriptor, so a batch of distinct lines retains nothing
     for the garbage collector to scan.
 
-    Making a memo starts a command, and is the one time the table is
-    emptied, if it holds more than ``TABLE_CAP`` nodes and lines: ``kept``
-    stands on node ids, which must not be reused while it lives.  So use
-    one memo at a time.
+    Making a memo starts a command, and is the one time the table and
+    the rule table of :mod:`construct` are emptied, if together they hold
+    more than ``TABLE_CAP`` nodes, lines and rules: ``kept`` stands on node
+    ids, which must not be reused while it lives.  So use one memo at a time.
     """
 
     __slots__ = ("kept",)
 
     def __init__(self) -> None:
-        if len(_nodes) + len(_lines) > TABLE_CAP:
+        if len(_nodes) + len(_lines) + len(construct._rules) > TABLE_CAP:
             _nodes.clear()
             _lines.clear()
+            construct._rules.clear()
         self.kept: dict[int, ManifoldDescriptor | None] = {}
 
 

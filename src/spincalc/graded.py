@@ -15,9 +15,11 @@ from .abelian import AbGroup, TRIVIAL, Z
 
 class GradedGroup(Value):
     __match_args__ = ("top_degree", "entries")
+    # not fields, so equality, hashing and repr leave them out:
     # _by_degree: degree -> group index over ``entries``, for O(1) lookup in
-    # ``group``; not a field, so equality, hashing and repr leave it out
-    __slots__ = (*__match_args__, "_by_degree")
+    # ``group``; _text: ``str`` of the group once made; _dual_in: the
+    # dimension n for which ``check_poincare_duality`` has passed, or None
+    __slots__ = (*__match_args__, "_by_degree", "_text", "_dual_in")
 
     def __init__(self, top_degree: int, entries: tuple[tuple[int, AbGroup], ...] = ()) -> None:
         set_field(self, "top_degree", top_degree)
@@ -43,6 +45,8 @@ class GradedGroup(Value):
         if unsorted:
             raise ValueError("entries must be sorted by degree")
         set_field(self, "_by_degree", by_degree)
+        set_field(self, "_text", None)
+        set_field(self, "_dual_in", None)
 
     @classmethod
     def from_dict(cls, groups: dict[int, AbGroup], top_degree: int) -> "GradedGroup":
@@ -96,7 +100,12 @@ class GradedGroup(Value):
         }
 
     def __str__(self) -> str:
-        """Case-display rendering, grouping degrees by their group."""
+        """Case-display rendering, grouping degrees by their group; made once per group."""
+        if self._text is None:
+            set_field(self, "_text", self._render())
+        return self._text
+
+    def _render(self) -> str:
         if not self.entries:
             return "0 for all i"
         # entries are sorted, so groups enter the dict in the order of their
@@ -140,7 +149,8 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     H_{n-i-1} are all trivial cannot fail, so this covers every degree.
     Only on a mismatch are the degrees d, n-d and n-d-1 scanned in
     ascending order, to report the first failing degree a walk over
-    0..n finds.
+    0..n finds.  A pass is recorded on ``h``, so checking the same group
+    in the same dimension again is one comparison.
 
     >>> from .abelian import cyclic
     >>> check_poincare_duality(GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3), 3)
@@ -149,6 +159,8 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     >>> report.failing_degree, report.message
     (1, 'torsion of H_1 is Z_3 but H_2 has 0')
     """
+    if h._dual_in == n:
+        return _PASSING
     if h.top_degree != n:
         return DualityReport(False, None, f"top degree {h.top_degree} != dimension {n}")
     if h.group(0) != Z or h.group(n) != Z:
@@ -159,6 +171,7 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
         g.rank == h.group(n - d).rank and g.factors == h.group(n - d - 1).factors
         for d, g in h.entries
     ):
+        set_field(h, "_dual_in", n)
         return _PASSING
     degrees = {i for d, _ in h.entries for i in (d, n - d, n - d - 1) if 0 <= i <= n}
     for i in sorted(degrees):

@@ -1,11 +1,14 @@
+import gc
 import random
 import re
 
 import pytest
 
-from spincalc import construct
+from spincalc import abelian, construct
 from spincalc.abelian import Z, cyclic, normalize
 from spincalc.construct import (
+    CP,
+    Lens,
     Prod,
     Sphere,
     Spin,
@@ -31,9 +34,16 @@ from spincalc.manifold import (
     FreeGroup,
     HyperbolicThreeManifoldGroup,
     Trivial,
+    make_descriptor,
 )
 
 from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
+
+
+@pytest.fixture
+def empty_rules(monkeypatch):
+    """The process's rule table, empty for this test and restored after it."""
+    monkeypatch.setattr(construct, "_rules", {})
 
 
 class TestSphere:
@@ -321,7 +331,9 @@ class TestProduct:
         "make, n", [(sphere, 400), (cp, 150), (lambda n: lens(3, n), 101)],
         ids=["sphere-400", "cp-150", "lens-3-101"],
     )
-    def test_one_tensor_and_one_tor_per_pair_of_nonzero_entries(self, monkeypatch, make, n):
+    def test_one_tensor_and_one_tor_per_pair_of_nonzero_entries(
+        self, empty_rules, monkeypatch, make, n
+    ):
         """One kunneth_terms call per pair of entries, one normalize per degree."""
         m = make(n)
         calls = {"kunneth_terms": 0, "normalize": 0}
@@ -342,6 +354,45 @@ class TestProduct:
             (_, b), = corpus(rng.randint(0, 10**6), 1, 3)
             chi = product(a, b).homology.euler_characteristic()
             assert chi == a.homology.euler_characteristic() * b.homology.euler_characteristic()
+
+
+class TestRuleTable:
+    """Each rule's homology is computed once; every call makes its own descriptor."""
+
+    def test_a_second_product_of_the_same_operands_computes_nothing(self, empty_rules, monkeypatch):
+        a, b = lens(3, 7), cp(3)
+        first = product(a, b)
+        calls = {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 0}
+        for module, name in [
+            (construct, "kunneth_terms"), (construct, "normalize"), (abelian, "normalize"),
+            (construct, "make_descriptor"),
+        ]:
+            def counted(*args, name=name, real=getattr(module, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        second = product(a, b)
+        assert calls == {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 1}
+        assert second.homology is first.homology
+        assert second == first and second is not first
+
+    def test_an_entry_keeps_its_operands_alive(self, empty_rules):
+        """No id in a key can name another object while its entry lives."""
+        # homology groups that no rule made, so only the rule table can hold them
+        h = GradedGroup(5, ((0, Z), (1, cyclic(3)), (3, cyclic(3)), (5, Z)))
+        a = make_descriptor(Lens(3, 5), 5, h, FiniteCyclic(3))
+        b = make_descriptor(CP(1), 2, GradedGroup(2, ((0, Z), (2, Z))), Trivial())
+        del h
+        spin(2, a), connected_sum(a, a), product(a, b)
+        del a, b
+        gc.collect()
+        # objects made now would take the ids of any operand that died
+        made = [GradedGroup(3, ((0, Z), (3, Z))) for _ in range(1000)]
+        assert len(construct._rules) == 3
+        for key, (_, *operands) in construct._rules.items():
+            assert key[-len(operands):] == tuple(id(g) for g in operands)
+            assert not any(g is h for g in operands for h in made)
 
 
 class TestIteratedSpin:

@@ -198,13 +198,18 @@ class TestEvaluate:
 
 @pytest.fixture
 def empty_table(monkeypatch):
-    """The process's hash-consing table, empty for this test and restored after it."""
+    """The process's hash-consing and rule tables, empty for this test and restored after it."""
     for name in ("_nodes", "_lines"):
         monkeypatch.setattr(dsl, name, {})
+    monkeypatch.setattr(construct, "_rules", {})
 
 
 class TestMemo:
-    """One command builds each distinct sub-expression of its lines once."""
+    """One command makes a node's descriptor at its first two evaluations and reuses it after.
+
+    Each of those two calls of the construction looks its homology up in
+    the rule table, where the first command to evaluate the node left it.
+    """
 
     def test_equal_sub_expressions_are_one_node(self, empty_table):
         ast = parse("csum(spin(1,IHS3),spin(1, IHS3))")
@@ -339,6 +344,28 @@ def test_a_line_prints_the_same_in_any_batch(argv, oracle_batch, monkeypatch, ca
     assert run() == first
 
 
+# perfbench's batch commands first, in its order, then the other two
+WARM_ORDER = [
+    ["eval", "-"], ["chirality", "-"], ["degrees", "-"], ["eval", "-", "--json"], ["validate", "-"]
+]
+
+
+def test_warm_tables_print_what_empty_ones_do(oracle_batch, monkeypatch, capsys):
+    """Outputs with the tables warm are those with the tables empty.
+
+    Warm: each command runs on the whole batch, all in one process,
+    every table kept.  Empty: each line runs alone, in a command that
+    starts by emptying every table.
+    """
+    warm = [line_records(monkeypatch, capsys, argv, [oracle_batch]) for argv in WARM_ORDER]
+    monkeypatch.setattr(dsl, "TABLE_CAP", -1)  # empty the tables as each command starts
+    lines = oracle_batch.splitlines(keepends=True)
+    for argv, (records, [status]) in zip(WARM_ORDER, warm):
+        alone, statuses = line_records(monkeypatch, capsys, argv, lines)
+        assert records == alone, argv
+        assert status == max(statuses), argv
+
+
 class TestTable:
     """Each line is parsed once per process; sharing it between commands changes no output."""
 
@@ -392,6 +419,17 @@ class TestTable:
         half = len(sizes) // 2
         assert sizes[0] == sizes[half] == 0
         assert [i for i in range(1, len(sizes)) if sizes[i] < sizes[i - 1]] == [half]
+
+    def test_the_rule_table_is_emptied_with_the_parse_table(self, empty_table, monkeypatch):
+        evaluate_text("prod(L(3,5),spin(2,csum(N(7),IHS3)))")
+        total = len(dsl._nodes) + len(dsl._lines) + len(construct._rules)
+        assert len(construct._rules) == 6  # L(3,5), N(7), IHS3, csum, spin, prod
+        monkeypatch.setattr(dsl, "TABLE_CAP", total)
+        dsl.Memo()
+        assert len(dsl._nodes) + len(dsl._lines) + len(construct._rules) == total
+        monkeypatch.setattr(dsl, "TABLE_CAP", total - 1)
+        dsl.Memo()
+        assert dsl._nodes == dsl._lines == construct._rules == {}
 
     def test_each_line_numbers_its_hyperbolic_generators_from_1_after_the_table_is_emptied(
         self, empty_table, monkeypatch, capsys

@@ -1,4 +1,5 @@
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -169,6 +170,15 @@ class TestDuality:
         b = check_poincare_duality(GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3), 3)
         assert a.ok and a is b
 
+    def test_a_recorded_pass_holds_for_its_dimension_only(self, monkeypatch):
+        g = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)
+        assert check_poincare_duality(g, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedGroup, "group", lambda self, degree: pytest.fail("looked up"))
+            assert check_poincare_duality(g, 3)
+        report = check_poincare_duality(g, 4)
+        assert (report.ok, report.message) == (False, "top degree 3 != dimension 4")
+
     def test_reports_offending_degree(self):
         g = GradedGroup.from_dict({0: Z, 1: cyclic(3), 4: Z}, 4)
         report = check_poincare_duality(g, 4)
@@ -331,3 +341,12 @@ class TestSerialization:
 
     def test_case_display(self):
         assert str(N7) == "Z, for i = 0, 3\nZ_14, for i = 1\n0, otherwise"
+
+    def test_kept_text_and_duality_pass_are_not_fields(self):
+        g = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
+        text = str(g)
+        assert str(g) is text
+        assert check_poincare_duality(g, 3)
+        fresh = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert pickle.loads(pickle.dumps(g)) == g
