@@ -39,12 +39,8 @@ from .dsl import Memo, ParseError, evaluate_text
 from .graded import GradedGroup
 from .manifold import HyperbolicThreeManifoldGroup, validate_realizability
 
-# What the imports made lives as long as the process: freeze it, so that
-# the collections during a command, which scan what the rule table keeps
-# alive, do not rescan it too.
-gc.freeze()
-
 SCHEMA = "1"
+_frozen = False  # whether ``main`` has frozen what existed before it
 # the rows of table1: partitions of 4 with at least two parts, most parts first
 _TABLE1_RADII = ((1, 1, 1, 1), (2, 1, 1), (3, 1), (2, 2))
 
@@ -54,17 +50,17 @@ def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], tuple[int, s
 
     ``handle`` maps a line and its descriptor to ``(status, text)`` and
     prints nothing.  One :class:`Memo` serves the call, so a node's
-    descriptor is made at its first two evaluations in the call and
-    reused from its third, and it is dropped when the call returns; the
-    parsed lines, and the homology of each sub-expression, stay in the
-    tables of the process for the next call.  By the memo's rule,
-    ``answers`` maps a line to None after its first answer and to the
-    answer from its second on, which its later copies print without
-    evaluating: only a repeated line keeps its answer, and only for the
-    call.  In batch mode a line that fails to parse or evaluate, or nests
-    too deeply, is never kept: each copy is reported with its stdin line
-    number and the rest still run; the result is the worst status.  A
-    single expression's error goes up to ``main``.
+    descriptor is made at its first two evaluations in the call and reused
+    from its third, and it is dropped when the call returns; the parsed
+    lines stay in the table of the process for the next call, and homology
+    in the bounded rule table of :mod:`construct`.  By the memo's rule,
+    ``answers`` maps a line to None after its first answer and to the answer
+    from its second on, which its later copies print without evaluating:
+    only a repeated line keeps its answer, and only for the call.  In batch
+    mode a line that fails to parse or evaluate, or nests too deeply, is
+    never kept: each copy is reported with its stdin line number and the
+    rest still run; the result is the worst status.  A single expression's
+    error goes up to ``main``.
     """
     memo = Memo()
     if arg != "-":
@@ -263,6 +259,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _frozen
+    if not _frozen:
+        # Once per process: what exists before the first command, the
+        # imports above all, lives as long as the process.  Frozen, it is
+        # not rescanned by the collections during commands, which already
+        # scan what the rule table of ``construct`` keeps alive.
+        gc.freeze()
+        _frozen = True
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -144,8 +144,26 @@ class Prod(ConstructionExpr):
 # The homology each rule gave, keyed by the rule and every input it reads: a
 # generator's integers, or a combinator's integers and dimensions and the ids
 # of its operands' GradedGroups.  An entry is (homology, *operands): it holds
-# its operands, so no id in a live key can be reused.  ``dsl.Memo`` empties it.
+# its operands, so no id in a live key can be reused.  ``_size`` counts, for
+# each entry, 1 plus the nonzero degrees of every group it holds, which is
+# what its memory grows with; an entry that would take the count past
+# RULES_CAP empties the table first.  Emptying is safe at any moment, as every
+# entry holds its own operands.
+RULES_CAP = 100_000
 _rules: dict[tuple, tuple] = {}
+_size = 0
+
+
+def _keep(key: tuple, *entry: GradedGroup) -> tuple:
+    """Enter ``entry``, the homology and then the operands, under ``key``."""
+    global _size
+    size = 1 + sum([len(g.entries) for g in entry])
+    if _size + size > RULES_CAP:
+        _rules.clear()
+        _size = 0
+    _rules[key] = entry
+    _size += size
+    return entry
 
 
 # -- generators -----------------------------------------------------------------
@@ -156,7 +174,7 @@ def sphere(n: int) -> ManifoldDescriptor:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     hit = _rules.get(("S", n))
     if hit is None:
-        hit = _rules["S", n] = (GradedGroup(n, ((0, Z), (n, Z))),)
+        hit = _keep(("S", n), GradedGroup(n, ((0, Z), (n, Z))))
     pi1 = FreeGroup(1) if n == 1 else Trivial()
     return make_descriptor(Sphere(n), n, hit[0], pi1)
 
@@ -168,7 +186,7 @@ def cp(n: int) -> ManifoldDescriptor:
     hit = _rules.get(("CP", n))
     if hit is None:
         entries = tuple([(d, Z) for d in range(0, 2 * n + 1, 2)])
-        hit = _rules["CP", n] = (GradedGroup(2 * n, entries),)
+        hit = _keep(("CP", n), GradedGroup(2 * n, entries))
     return make_descriptor(CP(n), 2 * n, hit[0], Trivial())
 
 
@@ -177,7 +195,7 @@ def surface(genus: int) -> ManifoldDescriptor:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
     hit = _rules.get(("Sigma", genus))
     if hit is None:
-        hit = _rules["Sigma", genus] = (GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z))),)
+        hit = _keep(("Sigma", genus), GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z))))
     return make_descriptor(Surface(genus), 2, hit[0], SurfaceGroup(genus))
 
 
@@ -191,7 +209,7 @@ def lens(p: int, dim: int) -> ManifoldDescriptor:
     if hit is None:
         torsion = cyclic(p)
         homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
-        hit = _rules["L", p, dim] = (homology,)
+        hit = _keep(("L", p, dim), homology)
     return make_descriptor(Lens(p, dim), dim, hit[0], FiniteCyclic(p))
 
 
@@ -206,7 +224,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
     hit = _rules.get(("N", p))
     if hit is None:
-        hit = _rules["N", p] = (GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z))),)
+        hit = _keep(("N", p), GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z))))
     return make_descriptor(DehnRHS(p), 3, hit[0], HyperbolicThreeManifoldGroup())
 
 
@@ -214,7 +232,7 @@ def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
     hit = _rules.get(("IHS3",))
     if hit is None:
-        hit = _rules["IHS3",] = (GradedGroup(3, ((0, Z), (3, Z))),)
+        hit = _keep(("IHS3",), GradedGroup(3, ((0, Z), (3, Z))))
     return make_descriptor(IHS3(), 3, hit[0], HyperbolicThreeManifoldGroup())
 
 
@@ -232,7 +250,7 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     hit = _rules.get(("E", m, d))
     if hit is None:
         cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
-        hit = _rules["E", m, d] = (homology_from_cohomology(cohomology, dim),)
+        hit = _keep(("E", m, d), homology_from_cohomology(cohomology, dim))
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
     return make_descriptor(Bundle(m, d), dim, hit[0], pi1)
 
@@ -263,7 +281,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if hit is None:
         entries = h.entries
         homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
-        hit = _rules["spin", r, m.dim, id(h)] = (homology, h)
+        hit = _keep(("spin", r, m.dim, id(h)), homology, h)
     return make_descriptor(Spin(r, m.expr), new_dim, hit[0], pi1)
 
 
@@ -286,7 +304,7 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     if hit is None:
         # H_0 and H_n stay Z; in between the groups add degreewise
         homology = GradedGroup.from_sum(a.dim, g.entries, h.entries[1:-1])
-        hit = _rules["csum", a.dim, id(g), id(h)] = (homology, g, h)
+        hit = _keep(("csum", a.dim, id(g), id(h)), homology, g, h)
     return make_descriptor(CSum(a.expr, b.expr), a.dim, hit[0], free_product(a.pi1, b.pi1))
 
 
@@ -307,7 +325,7 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     g, h = a.homology, b.homology
     hit = _rules.get(("prod", n, id(g), id(h)))
     if hit is None:
-        hit = _rules["prod", n, id(g), id(h)] = (_kunneth(g, h, n), g, h)
+        hit = _keep(("prod", n, id(g), id(h)), _kunneth(g, h, n), g, h)
     return make_descriptor(Prod(a.expr, b.expr), n, hit[0], direct_product(a.pi1, b.pi1))
 
 

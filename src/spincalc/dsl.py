@@ -20,8 +20,8 @@ and keeps each line it parses in full, so a line is parsed once however
 many commands read it.  The constructions look homology up in the rule
 table of :mod:`construct`, keyed on the identity of their operands'
 homology, so the homology of each distinct sub-expression is computed
-once per process, by the first command to evaluate it, and looked up
-after that.  A :class:`Memo` serves one command: :func:`evaluate` calls a
+by the first command to evaluate it and looked up after that, until the
+table, which bounds its own size, is emptied.  A :class:`Memo` serves one command: :func:`evaluate` calls a
 node's construction, which checks its arguments and makes and validates
 a descriptor, at the node's first and second evaluation in the command,
 and from the third on returns the descriptor kept from the second.
@@ -70,8 +70,8 @@ _BY_NODE = {kind.node: kind for kind in KINDS}
 # ``_nodes`` interns every parsed node on (class, ints, child ids), so
 # equal sub-expressions are one object and a node's id stands for its value
 # while the table holds it.  ``_lines`` maps each line parsed in full to its
-# node.  Sharing it, and ``construct._rules``, between commands changes no
-# output; :class:`Memo` says when they are emptied.
+# node.  Sharing it between commands changes no output; :class:`Memo` says
+# when it is emptied.
 TABLE_CAP = 100_000
 _nodes: dict[tuple, ConstructionExpr] = {}
 _lines: dict[str, ConstructionExpr] = {}
@@ -82,22 +82,22 @@ class Memo:
 
     ``kept`` maps the id of each node evaluated to None after its first
     evaluation and to its descriptor from its second on: only repeated
-    nodes keep a descriptor, so a batch of distinct lines retains nothing
-    for the garbage collector to scan.
+    nodes keep a descriptor, so for a batch of distinct lines the memo
+    keeps none.  The homology the lines computed stays in the rule table
+    of :mod:`construct`, which bounds its own size.
 
-    Making a memo starts a command, and is the one time the table and
-    the rule table of :mod:`construct` are emptied, if together they hold
-    more than ``TABLE_CAP`` nodes, lines and rules: ``kept`` stands on node
-    ids, which must not be reused while it lives.  So use one memo at a time.
+    Making a memo starts a command, and is the one time the table is
+    emptied, if it holds more than ``TABLE_CAP`` nodes and lines: ``kept``
+    stands on node ids, which must not be reused while it lives.  So use
+    one memo at a time.
     """
 
     __slots__ = ("kept",)
 
     def __init__(self) -> None:
-        if len(_nodes) + len(_lines) + len(construct._rules) > TABLE_CAP:
+        if len(_nodes) + len(_lines) > TABLE_CAP:
             _nodes.clear()
             _lines.clear()
-            construct._rules.clear()
         self.kept: dict[int, ManifoldDescriptor | None] = {}
 
 

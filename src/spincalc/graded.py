@@ -17,9 +17,9 @@ class GradedGroup(Value):
     __match_args__ = ("top_degree", "entries")
     # not fields, so equality, hashing and repr leave them out:
     # _by_degree: degree -> group index over ``entries``, for O(1) lookup in
-    # ``group``; _text: ``str`` of the group once made; _dual_in: the
-    # dimension n for which ``check_poincare_duality`` has passed, or None
-    __slots__ = (*__match_args__, "_by_degree", "_text", "_dual_in")
+    # ``group``; _dual_in: the dimension n for which ``check_poincare_duality``
+    # has passed, or None
+    __slots__ = (*__match_args__, "_by_degree", "_dual_in")
 
     def __init__(self, top_degree: int, entries: tuple[tuple[int, AbGroup], ...] = ()) -> None:
         set_field(self, "top_degree", top_degree)
@@ -45,7 +45,6 @@ class GradedGroup(Value):
         if unsorted:
             raise ValueError("entries must be sorted by degree")
         set_field(self, "_by_degree", by_degree)
-        set_field(self, "_text", None)
         set_field(self, "_dual_in", None)
 
     @classmethod
@@ -100,12 +99,7 @@ class GradedGroup(Value):
         }
 
     def __str__(self) -> str:
-        """Case-display rendering, grouping degrees by their group; made once per group."""
-        if self._text is None:
-            set_field(self, "_text", self._render())
-        return self._text
-
-    def _render(self) -> str:
+        """Case-display rendering, grouping degrees by their group."""
         if not self.entries:
             return "0 for all i"
         # entries are sorted, so groups enter the dict in the order of their

@@ -1,10 +1,11 @@
 import gc
+import io
 import random
 import re
 
 import pytest
 
-from spincalc import abelian, construct
+from spincalc import abelian, cli, construct
 from spincalc.abelian import Z, cyclic, normalize
 from spincalc.construct import (
     CP,
@@ -44,6 +45,12 @@ from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
 def empty_rules(monkeypatch):
     """The process's rule table, empty for this test and restored after it."""
     monkeypatch.setattr(construct, "_rules", {})
+    monkeypatch.setattr(construct, "_size", 0)
+
+
+def rules_size() -> int:
+    """What ``construct._size`` should read: 1 plus the degrees of every group, per entry."""
+    return sum(1 + sum(len(g.entries) for g in entry) for entry in construct._rules.values())
 
 
 class TestSphere:
@@ -393,6 +400,53 @@ class TestRuleTable:
         for key, (_, *operands) in construct._rules.items():
             assert key[-len(operands):] == tuple(id(g) for g in operands)
             assert not any(g is h for g in operands for h in made)
+
+
+    def test_an_entry_past_the_cap_empties_the_table_first(self, empty_rules, monkeypatch):
+        s3, l5 = sphere(3), lens(3, 5)  # 1 plus 2 degrees, 1 plus 4 degrees
+        product(s3, l5)  # 1 plus the 7 degrees of the product and those of its operands
+        keys = [("S", 3), ("L", 3, 5), ("prod", 8, id(s3.homology), id(l5.homology))]
+        assert list(construct._rules) == keys
+        assert construct._size == rules_size() == 3 + 5 + (1 + 7 + 2 + 4)
+        monkeypatch.setattr(construct, "RULES_CAP", 22 + 3)
+        sphere(4)  # fits exactly
+        assert len(construct._rules) == 4 and construct._size == rules_size() == 25
+        sphere(5)  # would pass the cap: only it is kept
+        assert list(construct._rules) == [("S", 5)] and construct._size == rules_size() == 3
+
+    def test_a_batch_of_distinct_high_dimensional_lines_stays_within_the_cap(
+        self, empty_rules, monkeypatch, capsys
+    ):
+        """Lines of 10,001 nonzero degrees each: together twice the cap, never kept together."""
+        sizes = []
+        real = construct._keep
+
+        def keep(key, *entry):
+            kept = real(key, *entry)
+            sizes.append(construct._size)
+            return kept
+
+        monkeypatch.setattr(construct, "_keep", keep)
+        lines = [f"L(3,{n})" for n in range(20_001, 20_041, 2)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert cli.main(["eval", "-"]) == 0
+        assert capsys.readouterr().out.count("homology H_i:") == len(lines)
+        assert len(sizes) == len(lines) and sum(1 + 10_001 for _ in lines) > 2 * construct.RULES_CAP
+        assert max(sizes) <= construct.RULES_CAP
+        assert construct._size == rules_size()
+
+    def test_repeated_verify_calls_keep_the_table_within_the_cap(self, empty_rules, monkeypatch, capsys):
+        """``verify`` starts no batch command, and the table still bounds itself."""
+        monkeypatch.setattr(construct, "RULES_CAP", 300)
+        primes = [p for p in range(3, 400, 4) if all(p % q for q in range(3, p, 2))]
+        sizes = []
+        for p in primes:
+            assert cli.main(["verify", "--theorem", "main", "--m", "2", "--p", str(p)]) == 0
+            sizes.append(construct._size)
+            assert construct._size == rules_size()
+        capsys.readouterr()
+        assert len(primes) > 20 and 0 < max(sizes) <= 300
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
 
 
 class TestIteratedSpin:

@@ -202,13 +202,15 @@ def empty_table(monkeypatch):
     for name in ("_nodes", "_lines"):
         monkeypatch.setattr(dsl, name, {})
     monkeypatch.setattr(construct, "_rules", {})
+    monkeypatch.setattr(construct, "_size", 0)
 
 
 class TestMemo:
     """One command makes a node's descriptor at its first two evaluations and reuses it after.
 
     Each of those two calls of the construction looks its homology up in
-    the rule table, where the first command to evaluate the node left it.
+    the rule table, where an earlier evaluation of the node left it unless
+    the table has emptied itself since.
     """
 
     def test_equal_sub_expressions_are_one_node(self, empty_table):
@@ -358,7 +360,14 @@ def test_warm_tables_print_what_empty_ones_do(oracle_batch, monkeypatch, capsys)
     starts by emptying every table.
     """
     warm = [line_records(monkeypatch, capsys, argv, [oracle_batch]) for argv in WARM_ORDER]
-    monkeypatch.setattr(dsl, "TABLE_CAP", -1)  # empty the tables as each command starts
+    monkeypatch.setattr(dsl, "TABLE_CAP", -1)  # empty the parse table as each command starts
+
+    def memo_on_empty_rules():
+        monkeypatch.setattr(construct, "_rules", {})
+        monkeypatch.setattr(construct, "_size", 0)
+        return dsl.Memo()
+
+    monkeypatch.setattr(cli, "Memo", memo_on_empty_rules)
     lines = oracle_batch.splitlines(keepends=True)
     for argv, (records, [status]) in zip(WARM_ORDER, warm):
         alone, statuses = line_records(monkeypatch, capsys, argv, lines)
@@ -419,17 +428,6 @@ class TestTable:
         half = len(sizes) // 2
         assert sizes[0] == sizes[half] == 0
         assert [i for i in range(1, len(sizes)) if sizes[i] < sizes[i - 1]] == [half]
-
-    def test_the_rule_table_is_emptied_with_the_parse_table(self, empty_table, monkeypatch):
-        evaluate_text("prod(L(3,5),spin(2,csum(N(7),IHS3)))")
-        total = len(dsl._nodes) + len(dsl._lines) + len(construct._rules)
-        assert len(construct._rules) == 6  # L(3,5), N(7), IHS3, csum, spin, prod
-        monkeypatch.setattr(dsl, "TABLE_CAP", total)
-        dsl.Memo()
-        assert len(dsl._nodes) + len(dsl._lines) + len(construct._rules) == total
-        monkeypatch.setattr(dsl, "TABLE_CAP", total - 1)
-        dsl.Memo()
-        assert dsl._nodes == dsl._lines == construct._rules == {}
 
     def test_each_line_numbers_its_hyperbolic_generators_from_1_after_the_table_is_emptied(
         self, empty_table, monkeypatch, capsys

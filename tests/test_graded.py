@@ -342,10 +342,8 @@ class TestSerialization:
     def test_case_display(self):
         assert str(N7) == "Z, for i = 0, 3\nZ_14, for i = 1\n0, otherwise"
 
-    def test_kept_text_and_duality_pass_are_not_fields(self):
+    def test_a_recorded_duality_pass_is_not_a_field(self):
         g = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
-        text = str(g)
-        assert str(g) is text
         assert check_poincare_duality(g, 3)
         fresh = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
