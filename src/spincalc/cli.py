@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from itertools import permutations
@@ -50,10 +49,11 @@ def _run_each(arg: str, handle: Callable[[str, ManifoldDescriptor], tuple[int, s
 
     ``handle`` maps a line and its descriptor to ``(status, text)`` and
     prints nothing.  One :class:`Memo` serves the call, so a node's
-    descriptor is made at its first two evaluations in the call and reused
-    from its third, and it is dropped when the call returns; the parsed
-    lines stay in the table of the process for the next call, and homology
-    in the bounded rule table of :mod:`construct`.  By the memo's rule,
+    construction is called at its first two evaluations in the call and
+    its descriptor reused from its third, and it is dropped when the call
+    returns; the parsed lines stay in the table of the process for the
+    next call, and the descriptors in the bounded rule table of
+    :mod:`construct`, which returns them as they are.  By the memo's rule,
     ``answers`` maps a line to None after its first answer and to the answer
     from its second on, which its later copies print without evaluating:
     only a repeated line keeps its answer, and only for the call.  In batch
@@ -92,15 +92,13 @@ def _descriptor_report(m: ManifoldDescriptor, as_json: bool) -> str:
     cohomology = m.cohomology()
     violations = validate_realizability(m)
     if as_json:
-        payload = {
-            "schema": SCHEMA,
+        return _json({
             **m.to_json(),
             "cohomology": cohomology.to_json(),
             "euler_characteristic": m.homology.euler_characteristic(),
             "duality": True,
             "violations": [{"code": v.code, "message": v.message} for v in violations],
-        }
-        return json.dumps(payload, indent=2)
+        })
     lines = [
         f"expression:    {m.expr}",
         f"dimension:     {m.dim}",
@@ -124,6 +122,11 @@ def _descriptor_report(m: ManifoldDescriptor, as_json: bool) -> str:
     return "\n".join(lines)
 
 
+def _json(payload: dict) -> str:
+    import json  # loaded by the --json answers alone, not by ``import spincalc.cli``
+    return json.dumps({"schema": SCHEMA, **payload}, indent=2)
+
+
 def _indent(text: str) -> str:
     return "\n".join("  " + line for line in text.splitlines())
 
@@ -139,7 +142,7 @@ def _cmd_chirality(args: argparse.Namespace) -> int:
     def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
         verdict = chirality_verdict(m)
         if args.json:
-            return 0, json.dumps({"schema": SCHEMA, "expr": text, **verdict.to_json()}, indent=2)
+            return 0, _json({"expr": text, **verdict.to_json()})
         return 0, f"{text}: {verdict.describe()}"
 
     return _run_each(args.expr, handle)
@@ -149,7 +152,7 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
     def handle(text: str, m: ManifoldDescriptor) -> tuple[int, str]:
         ds = degree_set(m)
         if args.json:
-            return 0, json.dumps({"schema": SCHEMA, "expr": text, **ds.to_json()}, indent=2)
+            return 0, _json({"expr": text, **ds.to_json()})
         return 0, f"D({text}) = {ds.describe()}"
 
     return _run_each(args.expr, handle)

@@ -4,10 +4,12 @@ Every operation returns a validated :class:`ManifoldDescriptor`.  The
 construction expression is carried along as provenance and is what the
 degree-set rules later read.
 
-Homology is a pure function of a rule's inputs, so each operation looks
-it up in one rule table for the process before computing it.  Arguments
-are checked, pi_1 is worked out and the descriptor is made and validated
-on every call.
+A descriptor is a pure function of a rule's inputs, so each operation
+first looks them up in one rule table for the process and returns the
+descriptor found there as it is.  Only on a miss are the arguments
+checked, pi_1 and homology worked out and the descriptor made and
+validated; a call that fails keeps nothing, so every hit is for inputs
+that passed all of those checks.
 """
 
 from __future__ import annotations
@@ -141,76 +143,74 @@ class Prod(ConstructionExpr):
 
 # -- the rule table ---------------------------------------------------------------
 
-# The homology each rule gave, keyed by the rule and every input it reads: a
-# generator's integers, or a combinator's integers and dimensions and the ids
-# of its operands' GradedGroups.  An entry is (homology, *operands): it holds
-# its operands, so no id in a live key can be reused.  ``_size`` counts, for
-# each entry, 1 plus the nonzero degrees of every group it holds, which is
-# what its memory grows with; an entry that would take the count past
-# RULES_CAP empties the table first.  Emptying is safe at any moment, as every
-# entry holds its own operands.
+# The descriptor each rule made, keyed by the rule and every input it reads:
+# a generator's integers, or a combinator's integers and the ids of its
+# operand descriptors.  An entry is (descriptor, *operands): it holds its
+# operands, so no id in a live key can be reused.  Only a call that passed
+# every check enters its descriptor, so a hit stands for inputs that did.
+# ``_size`` counts, for each entry, 1 plus the nonzero homology degrees of
+# every descriptor it holds, which is what its memory grows with; an entry
+# that would take the count past RULES_CAP empties the table first.
+# Emptying is safe at any moment, as every entry holds its own operands.
 RULES_CAP = 100_000
 _rules: dict[tuple, tuple] = {}
 _size = 0
 
 
-def _keep(key: tuple, *entry: GradedGroup) -> tuple:
-    """Enter ``entry``, the homology and then the operands, under ``key``."""
+def _keep(key: tuple, *entry: ManifoldDescriptor) -> ManifoldDescriptor:
+    """Enter ``entry``, the descriptor then its operands, under ``key``; return the descriptor."""
     global _size
-    size = 1 + sum([len(g.entries) for g in entry])
+    size = 1 + sum([len(m.homology.entries) for m in entry])
     if _size + size > RULES_CAP:
         _rules.clear()
         _size = 0
     _rules[key] = entry
     _size += size
-    return entry
+    return entry[0]
 
 
 # -- generators -----------------------------------------------------------------
 
 
 def sphere(n: int) -> ManifoldDescriptor:
+    if hit := _rules.get(("S", n)):
+        return hit[0]
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    hit = _rules.get(("S", n))
-    if hit is None:
-        hit = _keep(("S", n), GradedGroup(n, ((0, Z), (n, Z))))
     pi1 = FreeGroup(1) if n == 1 else Trivial()
-    return make_descriptor(Sphere(n), n, hit[0], pi1)
+    return _keep(("S", n), make_descriptor(Sphere(n), n, GradedGroup(n, ((0, Z), (n, Z))), pi1))
 
 
 def cp(n: int) -> ManifoldDescriptor:
     """Complex projective n-space: Z in every even degree up to 2n."""
+    if hit := _rules.get(("CP", n)):
+        return hit[0]
     if n < 1:
         raise ValueError(f"CP index must be >= 1, got {n}")
-    hit = _rules.get(("CP", n))
-    if hit is None:
-        entries = tuple([(d, Z) for d in range(0, 2 * n + 1, 2)])
-        hit = _keep(("CP", n), GradedGroup(2 * n, entries))
-    return make_descriptor(CP(n), 2 * n, hit[0], Trivial())
+    homology = GradedGroup(2 * n, tuple([(d, Z) for d in range(0, 2 * n + 1, 2)]))
+    return _keep(("CP", n), make_descriptor(CP(n), 2 * n, homology, Trivial()))
 
 
 def surface(genus: int) -> ManifoldDescriptor:
+    if hit := _rules.get(("Sigma", genus)):
+        return hit[0]
     if genus < 2:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
-    hit = _rules.get(("Sigma", genus))
-    if hit is None:
-        hit = _keep(("Sigma", genus), GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z))))
-    return make_descriptor(Surface(genus), 2, hit[0], SurfaceGroup(genus))
+    homology = GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z)))
+    return _keep(("Sigma", genus), make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus)))
 
 
 def lens(p: int, dim: int) -> ManifoldDescriptor:
     """Lens space S^dim / Z_p: Z_p torsion in every odd degree below the top."""
+    if hit := _rules.get(("L", p, dim)):
+        return hit[0]
     if p < 2:
         raise ValueError(f"lens order must be >= 2, got {p}")
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"lens dimension must be odd and >= 3, got {dim}")
-    hit = _rules.get(("L", p, dim))
-    if hit is None:
-        torsion = cyclic(p)
-        homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
-        hit = _keep(("L", p, dim), homology)
-    return make_descriptor(Lens(p, dim), dim, hit[0], FiniteCyclic(p))
+    torsion = cyclic(p)
+    homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
+    return _keep(("L", p, dim), make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p)))
 
 
 def dehn_rhs(p: int) -> ManifoldDescriptor:
@@ -218,22 +218,22 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
 
     Existence is axiomatized (surgery on a hyperbolic knot complement);
     ``DehnRHS.facts`` also takes on faith that the isometry group can be
-    taken of odd order.
+    taken of odd order.  A call that finds ``p`` in the rule table skips the primality test.
     """
+    if hit := _rules.get(("N", p)):
+        return hit[0]
     if not is_prime(p):
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
-    hit = _rules.get(("N", p))
-    if hit is None:
-        hit = _keep(("N", p), GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z))))
-    return make_descriptor(DehnRHS(p), 3, hit[0], HyperbolicThreeManifoldGroup())
+    homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
+    return _keep(("N", p), make_descriptor(DehnRHS(p), 3, homology, HyperbolicThreeManifoldGroup()))
 
 
 def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
-    hit = _rules.get(("IHS3",))
-    if hit is None:
-        hit = _keep(("IHS3",), GradedGroup(3, ((0, Z), (3, Z))))
-    return make_descriptor(IHS3(), 3, hit[0], HyperbolicThreeManifoldGroup())
+    if hit := _rules.get(("IHS3",)):
+        return hit[0]
+    homology = GradedGroup(3, ((0, Z), (3, Z)))
+    return _keep(("IHS3",), make_descriptor(IHS3(), 3, homology, HyperbolicThreeManifoldGroup()))
 
 
 def bundle(m: int, d: int) -> ManifoldDescriptor:
@@ -242,17 +242,17 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     The Gysin sequence leaves a single torsion group Z_{2|d|} in
     cohomology degree 2m+2; dimension is 4m+3.
     """
+    if hit := _rules.get(("E", m, d)):
+        return hit[0]
     if m < 0:
         raise ValueError(f"bundle index must be >= 0, got {m}")
     if d == 0:
         raise ValueError("Euler multiple must be nonzero (use prod for the trivial bundle)")
     dim = 4 * m + 3
-    hit = _rules.get(("E", m, d))
-    if hit is None:
-        cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
-        hit = _keep(("E", m, d), homology_from_cohomology(cohomology, dim))
+    cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
-    return make_descriptor(Bundle(m, d), dim, hit[0], pi1)
+    homology = homology_from_cohomology(cohomology, dim)
+    return _keep(("E", m, d), make_descriptor(Bundle(m, d), dim, homology, pi1))
 
 
 # -- combinators -----------------------------------------------------------------
@@ -268,6 +268,8 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     copies of S^{r+1} x S^1 (``analysis._sphere_level``), so pi_1 becomes the
     free group of rank 2g.
     """
+    if hit := _rules.get(("spin", r, id(m))):
+        return hit[0]
     if r < 1:
         raise ValueError(f"spin radius must be >= 1, got {r}")
     if m.dim < 2:
@@ -276,13 +278,9 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if m.dim == 2 and not isinstance(pi1, Trivial):
         pi1 = FreeGroup(2 * _surface_genus(m))
     new_dim = m.dim + r
-    h = m.homology
-    hit = _rules.get(("spin", r, m.dim, id(h)))
-    if hit is None:
-        entries = h.entries
-        homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
-        hit = _keep(("spin", r, m.dim, id(h)), homology, h)
-    return make_descriptor(Spin(r, m.expr), new_dim, hit[0], pi1)
+    entries = m.homology.entries
+    homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
+    return _keep(("spin", r, id(m)), make_descriptor(Spin(r, m.expr), new_dim, homology, pi1), m)
 
 
 def _surface_genus(m: ManifoldDescriptor) -> int:
@@ -295,24 +293,23 @@ def _surface_genus(m: ManifoldDescriptor) -> int:
 
 
 def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
+    if hit := _rules.get(("csum", id(a), id(b))):
+        return hit[0]
     if a.dim != b.dim:
         raise ValueError(f"connected sum needs equal dimensions, got {a.dim} and {b.dim}")
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
-    g, h = a.homology, b.homology
-    hit = _rules.get(("csum", a.dim, id(g), id(h)))
-    if hit is None:
-        # H_0 and H_n stay Z; in between the groups add degreewise
-        homology = GradedGroup.from_sum(a.dim, g.entries, h.entries[1:-1])
-        hit = _keep(("csum", a.dim, id(g), id(h)), homology, g, h)
-    return make_descriptor(CSum(a.expr, b.expr), a.dim, hit[0], free_product(a.pi1, b.pi1))
+    # H_0 and H_n stay Z; in between the groups add degreewise
+    homology = GradedGroup.from_sum(a.dim, a.homology.entries, b.homology.entries[1:-1])
+    m = make_descriptor(CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1))
+    return _keep(("csum", id(a), id(b)), m, a, b)
 
 
 def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     """Cartesian product; homology by the integral Kunneth formula.
 
     See :func:`_kunneth`, which runs only when the rule table has no
-    product of these two homology groups.
+    product of these two descriptors.
 
     >>> print(product(lens(3, 3), lens(3, 3)).homology)
     Z, for i = 0, 6
@@ -321,12 +318,12 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     Z^2 + Z_3, for i = 3
     0, otherwise
     """
+    if hit := _rules.get(("prod", id(a), id(b))):
+        return hit[0]
     n = a.dim + b.dim
-    g, h = a.homology, b.homology
-    hit = _rules.get(("prod", n, id(g), id(h)))
-    if hit is None:
-        hit = _keep(("prod", n, id(g), id(h)), _kunneth(g, h, n), g, h)
-    return make_descriptor(Prod(a.expr, b.expr), n, hit[0], direct_product(a.pi1, b.pi1))
+    homology = _kunneth(a.homology, b.homology, n)
+    m = make_descriptor(Prod(a.expr, b.expr), n, homology, direct_product(a.pi1, b.pi1))
+    return _keep(("prod", id(a), id(b)), m, a, b)
 
 
 def _kunneth(a: GradedGroup, b: GradedGroup, n: int) -> GradedGroup:

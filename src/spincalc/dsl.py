@@ -17,17 +17,17 @@ which ``str`` prints, so printing an AST round-trips through :func:`parse`.
 
 The parser hash-conses every node into one table for the whole process,
 and keeps each line it parses in full, so a line is parsed once however
-many commands read it.  The constructions look homology up in the rule
-table of :mod:`construct`, keyed on the identity of their operands'
-homology, so the homology of each distinct sub-expression is computed
-by the first command to evaluate it and looked up after that, until the
-table, which bounds its own size, is emptied.  A :class:`Memo` serves one command: :func:`evaluate` calls a
-node's construction, which checks its arguments and makes and validates
-a descriptor, at the node's first and second evaluation in the command,
-and from the third on returns the descriptor kept from the second.
-Evaluation is a pure function of the AST, hyperbolic pi_1 tags included
-(they are numbered only when printed), so a reused descriptor or
-homology is the one a rebuild would give.
+many commands read it.  The constructions look descriptors up in the
+rule table of :mod:`construct`, keyed on the identity of their operand
+descriptors, so the descriptor of each distinct sub-expression is made
+and validated by the first command to evaluate it and returned as it is
+after that, until the table, which bounds its own size, is emptied.  A
+:class:`Memo` serves one command: :func:`evaluate` walks a node's
+children and calls its construction at the node's first and second
+evaluation in the command, and from the third on returns the descriptor
+kept from the second without a walk.  Evaluation is a pure function of
+the AST, hyperbolic pi_1 tags included (they are numbered only when
+printed), so a reused descriptor is the one a rebuild would give.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class Memo:
     ``kept`` maps the id of each node evaluated to None after its first
     evaluation and to its descriptor from its second on: only repeated
     nodes keep a descriptor, so for a batch of distinct lines the memo
-    keeps none.  The homology the lines computed stays in the rule table
+    keeps none.  The descriptors the lines made stay in the rule table
     of :mod:`construct`, which bounds its own size.
 
     Making a memo starts a command, and is the one time the table is

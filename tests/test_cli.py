@@ -210,7 +210,7 @@ class TestEval:
         assert status == 0
         assert "proven strongly chiral" in out
 
-    def test_duality_is_checked_once_per_line(self, capsys, monkeypatch):
+    def test_duality_is_checked_once_per_line(self, empty_rules, capsys, monkeypatch):
         original = graded.check_poincare_duality
         calls = []
 
@@ -322,6 +322,36 @@ class TestBatch:
         assert err == "".join(f"error: line {k}: {error}\n" for k in (1, 3, 5))
         # each copy of the failing line is evaluated again; S(3) is replayed once
         assert calls == [line, "S(3)"] * 2 + [line]
+
+    @pytest.mark.parametrize("command", ["eval", "chirality", "degrees", "validate"])
+    def test_a_failing_construction_is_never_kept(self, capsys, monkeypatch, command):
+        """Each copy of a line whose construction fails reports its own error.
+
+        The valid lines after them, which reuse their parts, answer as in a
+        fresh process.
+        """
+        errors = {
+            "csum(S(3),S(4))": "connected sum needs equal dimensions, got 3 and 4",
+            "N(4)": "Dehn-filling parameter must be prime, got 4",
+            "N(9)": "Dehn-filling parameter must be prime, got 9",
+            "spin(0,S(3))": "spin radius must be >= 1, got 0",
+            "E(0,0)": "Euler multiple must be nonzero (use prod for the trivial bundle)",
+            "L(4,4)": "lens dimension must be odd and >= 3, got 4",
+            "spin(1,Sigma(1))": "surface genus must be >= 2, got 1",
+        }
+        valid = "csum(spin(1,S(3)),S(4))\nprod(N(7),L(3,3))\nspin(1,Sigma(2))\nE(0,1)\n"
+        src = Path(spincalc.__file__).resolve().parent.parent
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spincalc.cli", command, "-"],
+            input=valid, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+        )
+        assert (fresh.returncode, fresh.stderr) == (0, "")
+        bad = [line for line in errors for _ in range(2)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(bad) + "\n" + valid))
+        status, out, err = run(capsys, command, "-")
+        assert err == "".join(f"error: line {k}: {errors[line]}\n" for k, line in enumerate(bad, 1))
+        assert (status, out) == (2, fresh.stdout)
 
     def test_only_a_repeated_line_keeps_its_answer(self, capsys, monkeypatch):
         class Answer(str):

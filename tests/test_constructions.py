@@ -41,16 +41,11 @@ from spincalc.manifold import (
 from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
 
 
-@pytest.fixture
-def empty_rules(monkeypatch):
-    """The process's rule table, empty for this test and restored after it."""
-    monkeypatch.setattr(construct, "_rules", {})
-    monkeypatch.setattr(construct, "_size", 0)
-
-
 def rules_size() -> int:
-    """What ``construct._size`` should read: 1 plus the degrees of every group, per entry."""
-    return sum(1 + sum(len(g.entries) for g in entry) for entry in construct._rules.values())
+    """What ``construct._size`` should read: 1 plus the degrees of every descriptor, per entry."""
+    return sum(
+        1 + sum(len(m.homology.entries) for m in entry) for entry in construct._rules.values()
+    )
 
 
 class TestSphere:
@@ -364,7 +359,7 @@ class TestProduct:
 
 
 class TestRuleTable:
-    """Each rule's homology is computed once; every call makes its own descriptor."""
+    """Each rule's descriptor is made once; later calls with the same inputs return it."""
 
     def test_a_second_product_of_the_same_operands_computes_nothing(self, empty_rules, monkeypatch):
         a, b = lens(3, 7), cp(3)
@@ -380,13 +375,37 @@ class TestRuleTable:
 
             monkeypatch.setattr(module, name, counted)
         second = product(a, b)
-        assert calls == {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 1}
-        assert second.homology is first.homology
-        assert second == first and second is not first
+        assert calls == {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 0}
+        assert second is first
+
+    def test_a_second_dehn_filling_tests_no_primality(self, empty_rules, monkeypatch):
+        p = 1000000000000000003
+        first = dehn_rhs(p)
+        calls = []
+        real = construct.is_prime
+        monkeypatch.setattr(construct, "is_prime", lambda n: calls.append(n) or real(n))
+        assert dehn_rhs(p) is first
+        assert calls == []
+        with pytest.raises(ValueError, match="must be prime"):
+            dehn_rhs(p + 2)  # 5 * 200000000000000001: a miss, so it is tested
+        assert calls == [p + 2]
+
+    def test_a_second_spin_makes_no_descriptor(self, empty_rules, monkeypatch):
+        m = lens(3, 5)
+        first = spin(2, m)
+        calls = []
+        real = construct.make_descriptor
+        monkeypatch.setattr(
+            construct, "make_descriptor", lambda *args: calls.append(args) or real(*args)
+        )
+        assert spin(2, m) is first
+        assert calls == []
+        assert spin(2, lens(3, 5)) is first  # the generator hits too
+        assert spin(3, m) is not first and len(calls) == 1
 
     def test_an_entry_keeps_its_operands_alive(self, empty_rules):
         """No id in a key can name another object while its entry lives."""
-        # homology groups that no rule made, so only the rule table can hold them
+        # descriptors that no rule made, so only the rule table can hold them
         h = GradedGroup(5, ((0, Z), (1, cyclic(3)), (3, cyclic(3)), (5, Z)))
         a = make_descriptor(Lens(3, 5), 5, h, FiniteCyclic(3))
         b = make_descriptor(CP(1), 2, GradedGroup(2, ((0, Z), (2, Z))), Trivial())
@@ -395,17 +414,17 @@ class TestRuleTable:
         del a, b
         gc.collect()
         # objects made now would take the ids of any operand that died
-        made = [GradedGroup(3, ((0, Z), (3, Z))) for _ in range(1000)]
+        h3 = GradedGroup(3, ((0, Z), (3, Z)))
+        made = [make_descriptor(Sphere(3), 3, h3, Trivial()) for _ in range(1000)]
         assert len(construct._rules) == 3
         for key, (_, *operands) in construct._rules.items():
-            assert key[-len(operands):] == tuple(id(g) for g in operands)
-            assert not any(g is h for g in operands for h in made)
-
+            assert key[-len(operands):] == tuple(id(m) for m in operands)
+            assert not any(m is n for m in operands for n in made)
 
     def test_an_entry_past_the_cap_empties_the_table_first(self, empty_rules, monkeypatch):
         s3, l5 = sphere(3), lens(3, 5)  # 1 plus 2 degrees, 1 plus 4 degrees
         product(s3, l5)  # 1 plus the 7 degrees of the product and those of its operands
-        keys = [("S", 3), ("L", 3, 5), ("prod", 8, id(s3.homology), id(l5.homology))]
+        keys = [("S", 3), ("L", 3, 5), ("prod", id(s3), id(l5))]
         assert list(construct._rules) == keys
         assert construct._size == rules_size() == 3 + 5 + (1 + 7 + 2 + 4)
         monkeypatch.setattr(construct, "RULES_CAP", 22 + 3)
@@ -434,6 +453,34 @@ class TestRuleTable:
         assert len(sizes) == len(lines) and sum(1 + 10_001 for _ in lines) > 2 * construct.RULES_CAP
         assert max(sizes) <= construct.RULES_CAP
         assert construct._size == rules_size()
+
+    def test_a_table_emptied_within_a_line_changes_no_answer(self, empty_rules, monkeypatch, capsys):
+        batch = "".join(f"{expr}\n" for expr, _ in corpus(2024, 1000))
+
+        def outputs() -> list[tuple]:
+            monkeypatch.setattr(construct, "_rules", {})
+            monkeypatch.setattr(construct, "_size", 0)
+            results = []
+            for command in ["eval", "chirality", "degrees", "validate"]:
+                monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+                status = cli.main([command, "-"])
+                results.append((status, *capsys.readouterr()))
+            return results
+
+        default = outputs()
+        within = 0  # combinators entered into a table emptied since their operands were made
+        real = construct._keep
+
+        def keep(key, *entry):
+            nonlocal within
+            kept = real(key, *entry)
+            within += len(entry) > 1 and len(construct._rules) == 1
+            return kept
+
+        monkeypatch.setattr(construct, "_keep", keep)
+        monkeypatch.setattr(construct, "RULES_CAP", 50)
+        assert outputs() == default
+        assert within > 100 and construct._size <= 50
 
     def test_repeated_verify_calls_keep_the_table_within_the_cap(self, empty_rules, monkeypatch, capsys):
         """``verify`` starts no batch command, and the table still bounds itself."""

@@ -206,11 +206,11 @@ def empty_table(monkeypatch):
 
 
 class TestMemo:
-    """One command makes a node's descriptor at its first two evaluations and reuses it after.
+    """One command calls a node's construction at its first two evaluations and reuses it after.
 
-    Each of those two calls of the construction looks its homology up in
-    the rule table, where an earlier evaluation of the node left it unless
-    the table has emptied itself since.
+    Each of those two calls looks the descriptor up in the rule table,
+    where an earlier evaluation of the node left it unless the table has
+    emptied itself since.
     """
 
     def test_equal_sub_expressions_are_one_node(self, empty_table):
@@ -237,7 +237,7 @@ class TestMemo:
             assert capsys.readouterr().out.count("expression:    prod(L(3,101),L(3,101))") == 50
             counts.append(dict(calls))
         assert counts[0]["product"] <= 2 and counts[0]["lens"] <= 2
-        # the second call builds as much again: no descriptor survives a call
+        # the second call calls as many constructions again: no memo survives a call
         assert counts[1] == {name: 2 * n for name, n in counts[0].items()}
 
     def test_each_line_numbers_its_hyperbolic_generators_from_1(self, monkeypatch, capsys):
