@@ -5,12 +5,24 @@ with a chain of torsion orders d_1 | d_2 | ... | d_k, each d_i >= 2.
 The normal form is canonical, so two groups are isomorphic exactly when
 their ``AbGroup`` values compare equal.
 
+The groups are hash-consed, as ``dsl`` does with AST nodes: one table
+for the process maps each input :func:`normalize` has seen, and each
+normal form, to one canonical group, which :func:`normalize`,
+:func:`free`, :func:`cyclic` and :meth:`AbGroup.with_rank` return.  So
+each distinct group is built, validated and printed once while the table
+holds it.  Equality still compares values, so the table may be emptied
+at any moment; ``construct`` empties it whenever it empties its own rule
+table, whose descriptors hold the groups made for them.
+
 >>> normalize([4, 6])
 AbGroup(rank=0, factors=(2, 12))
 >>> print(normalize([4, 6]).direct_sum(free(1)))
 Z + Z_2 + Z_12
->>> cyclic(14).tensor(cyclic(14))
-AbGroup(rank=0, factors=(14,))
+>>> rank, tensor, tor = kunneth_terms(cyclic(14), cyclic(14))
+>>> normalize(tensor, rank), normalize(tor)
+(AbGroup(rank=0, factors=(14,)), AbGroup(rank=0, factors=(14,)))
+>>> normalize([6, 4]) is normalize([4, 6]) is normalize([12, 2])
+True
 
 Integers are Python ints throughout, so there is no overflow bound;
 factor magnitudes are limited only by memory.
@@ -30,11 +42,17 @@ class AbGroup(Value):
     use :func:`normalize` to build a group from arbitrary cyclic orders.
     """
 
-    __slots__ = __match_args__ = ("rank", "factors")
+    __match_args__ = ("rank", "factors")
+    # not fields, so equality, hashing and repr leave them out: _hash, the
+    # hash of the fields, and _text, the text ``str`` gives, or None until
+    # it is first asked for
+    __slots__ = (*__match_args__, "_hash", "_text")
 
     def __init__(self, rank: int, factors: tuple[int, ...] = ()) -> None:
         set_field(self, "rank", rank)
         set_field(self, "factors", factors)
+        set_field(self, "_hash", hash((rank, factors)))
+        set_field(self, "_text", None)
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         for f in factors:
@@ -48,12 +66,14 @@ class AbGroup(Value):
 
     # equality and hashing written out: groups are compared and hashed on every op
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is AbGroup:
             return self.rank == other.rank and self.factors == other.factors
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.factors))
+        return self._hash
 
     # -- structural queries -------------------------------------------------
 
@@ -63,7 +83,11 @@ class AbGroup(Value):
 
     def torsion(self) -> "AbGroup":
         """The torsion subgroup (rank dropped)."""
-        return AbGroup(0, self.factors)
+        return _canonical(0, self.factors)
+
+    def with_rank(self, rank: int) -> "AbGroup":
+        """Z^rank plus the torsion subgroup of this group."""
+        return _canonical(rank, self.factors)
 
     def is_cyclic_of_order(self) -> int | None:
         """Return q when the group is Z_q for a single q >= 2, else None.
@@ -77,16 +101,7 @@ class AbGroup(Value):
     # -- arithmetic ---------------------------------------------------------
 
     def direct_sum(self, other: "AbGroup") -> "AbGroup":
-        return normalize(list(self.factors) + list(other.factors), self.rank + other.rank)
-
-    def tensor(self, other: "AbGroup") -> "AbGroup":
-        """Tensor product over Z; see :func:`kunneth_terms`."""
-        rank, orders, _ = kunneth_terms(self, other)
-        return normalize(orders, rank)
-
-    def tor(self, other: "AbGroup") -> "AbGroup":
-        """Torsion product Tor(-, -); see :func:`kunneth_terms`."""
-        return normalize(kunneth_terms(self, other)[2])
+        return normalize(self.factors + other.factors, self.rank + other.rank)
 
     # -- serialization ------------------------------------------------------
 
@@ -94,6 +109,11 @@ class AbGroup(Value):
         return {"rank": self.rank, "factors": list(self.factors)}
 
     def __str__(self) -> str:
+        if self._text is None:
+            set_field(self, "_text", self._render())
+        return self._text
+
+    def _render(self) -> str:
         if self.is_trivial:
             return "0"
         parts = []
@@ -112,18 +132,34 @@ class AbGroup(Value):
         return " + ".join(parts)
 
 
-TRIVIAL = AbGroup(0, ())
-Z = AbGroup(1, ())
+# The group table of the process.  ``(rank, *orders)`` maps to the
+# canonical group of Z^rank plus those cyclic summands, for every input
+# ``normalize`` has accepted and for the normal form of every group in the
+# table, which is its own key.  Only inputs that passed every check enter.
+_groups: dict[tuple, AbGroup] = {}
+
+
+def _canonical(rank: int, factors: tuple[int, ...]) -> AbGroup:
+    """The table's group of this rank and these invariant factors, built on a miss."""
+    key = (rank, *factors)
+    g = _groups.get(key)
+    if g is None:
+        g = _groups[key] = AbGroup(rank, factors)
+    return g
+
+
+TRIVIAL = _canonical(0, ())
+Z = _canonical(1, ())
 
 
 def free(rank: int) -> AbGroup:
-    return AbGroup(rank, ())
+    return _canonical(rank, ())
 
 
 def cyclic(n: int) -> AbGroup:
     """Z_n; Z_1 is the trivial group, n = 0 means Z."""
     if n == 0:
-        return Z
+        return free(1)
     return normalize([n])
 
 
@@ -141,13 +177,18 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
 
     An insertion costs one gcd per factor it passes, and sorted input
     mostly stops at once: orders that already form a divisibility chain,
-    in any input order, cost no gcd at all.
+    in any input order, cost no gcd at all.  An input seen before costs
+    one lookup in the group table.
 
     >>> normalize([6, 10, 15])
     AbGroup(rank=0, factors=(30, 30))
     >>> normalize([10, 5, 5, 10])
     AbGroup(rank=0, factors=(5, 5, 10, 10))
     """
+    key = (rank, *cyclic_orders)
+    g = _groups.get(key)
+    if g is not None:
+        return g
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     orders = sorted(cyclic_orders)
@@ -164,7 +205,8 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
             i -= 1
         if n > 1:
             chain.insert(i, n)
-    return AbGroup(rank, tuple(chain))
+    g = _groups[key] = _canonical(rank, tuple(chain))
+    return g
 
 
 def kunneth_terms(a: AbGroup, b: AbGroup) -> tuple[int, list[int], list[int]]:

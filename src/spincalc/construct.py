@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import ClassVar
 
+from . import abelian
 from ._value import Value, set_field
 from .abelian import Z, cyclic, free, kunneth_terms, normalize
 from .graded import GradedGroup, homology_from_cohomology
@@ -150,8 +151,10 @@ class Prod(ConstructionExpr):
 # every check enters its descriptor, so a hit stands for inputs that did.
 # ``_size`` counts, for each entry, 1 plus the nonzero homology degrees of
 # every descriptor it holds, which is what its memory grows with; an entry
-# that would take the count past RULES_CAP empties the table first.
-# Emptying is safe at any moment, as every entry holds its own operands.
+# that would take the count past RULES_CAP empties the table first, and
+# with it the group table of ``abelian``, whose groups were made for the
+# descriptors held here.  Emptying either is safe at any moment, as every
+# entry holds its own operands and groups compare by value.
 RULES_CAP = 100_000
 _rules: dict[tuple, tuple] = {}
 _size = 0
@@ -163,6 +166,7 @@ def _keep(key: tuple, *entry: ManifoldDescriptor) -> ManifoldDescriptor:
     size = 1 + sum([len(m.homology.entries) for m in entry])
     if _size + size > RULES_CAP:
         _rules.clear()
+        abelian._groups.clear()
         _size = 0
     _rules[key] = entry
     _size += size

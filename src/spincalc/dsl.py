@@ -33,7 +33,7 @@ printed), so a reused descriptor is the one a rebuild would give.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import construct
 from .construct import ConstructionExpr
@@ -64,6 +64,12 @@ KINDS = (
 )
 _BY_NAME = {kind.node.name: kind for kind in KINDS}
 _BY_NODE = {kind.node: kind for kind in KINDS}
+# the tokens that follow a node's name: its fields' kinds, separated by
+# "," and enclosed in "(" and ")", or none for a kind without fields
+_SYNTAX = {
+    kind: ("(", *[t for field in kind.fields for t in (",", field)][1:], ")") if kind.fields else ()
+    for kind in KINDS
+}
 
 
 # The hash-consing table of the process (Filliatre and Conchon 2006).
@@ -117,72 +123,91 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<punct>[(),])|(?P<other>\S)"
-)
+# a name, an integer or any other character, which ``_read`` and
+# ``_parse_error`` sort out
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?\d+|\S")
 
 
-def _error(text: str, offset: int, message: str) -> ParseError:
-    """A ParseError at ``offset``, with its 1-based line and column."""
+class _TokenError(Exception):
+    """The index of the token a syntax error stands at, and its message."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        self.message = message
+
+
+def _found(token: str) -> str:
+    return repr(token or "end of input")
+
+
+def _read(tokens: list[str]) -> tuple[ConstructionExpr, int]:
+    """The expression that starts the tokens, and the index of the token after it.
+
+    ``tokens`` ends with "", the end of input, which no rule accepts.  One
+    loop walks the syntax of each node after its name (``_SYNTAX``), and
+    ``pending`` holds the kind, the fields read so far and the rest of the
+    syntax of each node around the one being read, innermost last.  A node
+    is interned as its syntax ends, after its children, and becomes a
+    field of the node around it.
+    """
+    pending: list[tuple[Kind, list, Iterator[str]]] = []
+    i = 0
+    while True:
+        # a node starts at token i
+        name = tokens[i]
+        if not name[:1].isalpha():
+            raise _TokenError(i, f"expected 'a generator or combinator name', found {_found(name)}")
+        kind = _BY_NAME.get(name)
+        if kind is None:
+            if tokens[i + 1] != "(":
+                raise _TokenError(i + 1, f"expected '(', found {_found(tokens[i + 1])}")
+            known = ", ".join(_BY_NAME)
+            raise _TokenError(i, f"unknown name {name!r}; expected one of {known}")
+        i += 1
+        args: list = []
+        steps = iter(_SYNTAX[kind])
+        while (step := next(steps, None)) != EXPR:
+            if step is None:
+                node = _intern(kind, args)
+                if not pending:
+                    return node, i
+                kind, args, steps = pending.pop()
+                args.append(node)
+                continue
+            token = tokens[i]
+            if step == NAT or step == INT:
+                first = token[:1]
+                if not (first.isdecimal() or first == "-" and len(token) > 1):
+                    raise _TokenError(i, f"expected 'an integer', found {_found(token)}")
+                value = int(token)
+                if step == NAT and value < 0:
+                    raise _TokenError(i, f"expected a nonnegative integer, found {value}")
+                args.append(value)
+            elif token != step:
+                raise _TokenError(i, f"expected {step!r}, found {_found(token)}")
+            i += 1
+        pending.append((kind, args, steps))
+
+
+def _parse_error(text: str, error: _TokenError) -> ParseError:
+    """The ParseError of a line whose tokens failed with ``error``.
+
+    The first character that starts no token wins over any error of the
+    parse, wherever either stands.  Offsets come from scanning the text
+    again, as only a failing line needs them.
+    """
+    offsets = []
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group()
+        if len(token) == 1 and not (token.isalpha() or token.isdecimal() or token in "(),"):
+            offset, message = match.start(), f"unexpected character {token!r}"
+            break
+        offsets.append(match.start())
+    else:
+        offsets.append(len(text))
+        offset, message = offsets[error.index], error.message
     column = offset - text.rfind("\n", 0, offset)
     return ParseError(message, text.count("\n", 0, offset) + 1, column)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token; kind is "name", "int", "(", ")", "," or "end"."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind, tok = match.lastgroup, match.group()
-        if kind == "punct":
-            kind = tok
-        elif kind == "other":
-            # any other single letter (``str.isalpha``) is a name
-            if not tok.isalpha():
-                raise _error(text, match.start(), f"unexpected character {tok!r}")
-            kind = "name"
-        tokens.append((kind, tok, match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            shown = tok[1] or "end of input"
-            raise _error(self.text, tok[2], f"expected {what or kind!r}, found {shown!r}")
-        self.pos += 1
-        return tok
-
-    def parse_int(self, nonnegative: bool = False) -> int:
-        _, text, offset = self.expect("int", "an integer")
-        value = int(text)
-        if nonnegative and value < 0:
-            raise _error(self.text, offset, f"expected a nonnegative integer, found {value}")
-        return value
-
-    def parse_expr(self) -> ConstructionExpr:
-        _, name, offset = self.expect("name", "a generator or combinator name")
-        kind = _BY_NAME.get(name)
-        args: list = []
-        if kind is None or kind.fields:
-            self.expect("(")
-            if kind is None:
-                raise _error(
-                    self.text, offset,
-                    f"unknown name {name!r}; expected one of {', '.join(_BY_NAME)}",
-                )
-            for field in kind.fields:
-                if args:
-                    self.expect(",")
-                args.append(self.parse_expr() if field == EXPR else self.parse_int(field == NAT))
-            self.expect(")")
-        return _intern(kind, args)
 
 
 def parse(text: str) -> ConstructionExpr:
@@ -194,11 +219,14 @@ def parse(text: str) -> ConstructionExpr:
     """
     expr = _lines.get(text)
     if expr is None:
-        parser = _Parser(text)
-        expr = parser.parse_expr()
-        kind, trailing, offset = parser.tokens[parser.pos]
-        if kind != "end":
-            raise _error(text, offset, f"unexpected trailing input {trailing!r}")
+        tokens = _TOKEN_RE.findall(text)
+        tokens.append("")
+        try:
+            expr, end = _read(tokens)
+            if tokens[end]:
+                raise _TokenError(end, f"unexpected trailing input {tokens[end]!r}")
+        except _TokenError as error:
+            raise _parse_error(text, error) from None
         _lines[text] = expr
     return expr
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from math import gcd, prod
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincalc import abelian
-from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, normalize
+from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, kunneth_terms, normalize
+from spincalc.construct import bundle, connected_sum, lens, product, sphere
 from spincalc.dsl import evaluate_text
 
 from helpers import exchange_invariant_factors, same_finite_group
@@ -146,25 +148,81 @@ class TestDirectSum:
             assert prod(a.direct_sum(b).factors) == prod(a.factors) * prod(b.factors)
 
 
+def tensor(a: AbGroup, b: AbGroup) -> AbGroup:
+    rank, orders, _ = kunneth_terms(a, b)
+    return normalize(orders, rank)
+
+
+def tor(a: AbGroup, b: AbGroup) -> AbGroup:
+    return normalize(kunneth_terms(a, b)[2])
+
+
 class TestTensorAndTor:
+    """The tensor and Tor terms of ``kunneth_terms``, normalized as ``construct.product`` does."""
+
     def test_z_is_tensor_unit(self):
-        assert Z.tensor(cyclic(14)) == cyclic(14)
+        assert tensor(Z, cyclic(14)) == cyclic(14)
 
     def test_tensor_gcd(self):
-        assert cyclic(4).tensor(cyclic(6)) == cyclic(2)
-        assert cyclic(14).tensor(cyclic(14)) == cyclic(14)
+        assert tensor(cyclic(4), cyclic(6)) == cyclic(2)
+        assert tensor(cyclic(14), cyclic(14)) == cyclic(14)
 
     def test_tor_of_free_is_trivial(self):
-        assert free(3).tor(cyclic(14)) == TRIVIAL
+        assert tor(free(3), cyclic(14)) == TRIVIAL
 
     def test_tor_gcd(self):
-        assert cyclic(14).tor(cyclic(14)) == cyclic(14)
-        assert cyclic(4).tor(cyclic(6)) == cyclic(2)
+        assert tor(cyclic(14), cyclic(14)) == cyclic(14)
+        assert tor(cyclic(4), cyclic(6)) == cyclic(2)
 
     @given(small_groups, small_groups)
     def test_symmetric(self, a, b):
-        assert a.tensor(b) == b.tensor(a)
-        assert a.tor(b) == b.tor(a)
+        assert tensor(a, b) == tensor(b, a)
+        assert tor(a, b) == tor(b, a)
+
+
+class TestCanonicalGroups:
+    """One group object per value while the group table holds it."""
+
+    def test_equal_groups_reached_in_different_ways_are_one_object(self, empty_rules):
+        g = normalize([4, 6])
+        assert normalize([6, 4]) is normalize([12, 2]) is normalize([1, 2, 12, 1]) is g
+        assert cyclic(6) is normalize([2, 3]) is normalize([6], 2).torsion()
+        assert cyclic(0) is free(1) is normalize([], 1) is cyclic(1).with_rank(1)
+        assert free(2).direct_sum(cyclic(6)) is normalize([3, 2], 2) is cyclic(6).with_rank(2)
+
+    def test_groups_of_the_constructions_are_the_tables(self, empty_rules):
+        l3 = lens(3, 3)
+        # a Kunneth degree, a degree added by a connected sum, and cohomology degrees
+        assert product(l3, l3).homology.group(3) is normalize([3], 2)
+        assert connected_sum(l3, l3).homology.group(1) is normalize([3, 3])
+        assert l3.cohomology().group(2) is cyclic(3)
+        cohomology = product(sphere(2), l3).cohomology()  # H_1 = Z_3, H_2 = Z, H_3 = Z + Z_3
+        assert cohomology.group(2) is normalize([3], 1) and cohomology.group(4) is cyclic(3)
+        assert bundle(1, 7).homology.group(3) is cyclic(14)
+
+    def test_a_group_built_after_the_table_is_emptied_is_the_same_value(self, empty_rules):
+        before = normalize([4, 6], 2)
+        text = str(before)
+        abelian._groups.clear()
+        after = normalize([6, 4], 2)
+        assert after is not before
+        assert after == before and hash(after) == hash(before)
+        assert str(after) == text == "Z^2 + Z_2 + Z_12"
+
+    def test_the_cached_text_and_hash_are_not_fields(self):
+        g = normalize([4, 6], 2)
+        str(g)
+        fresh = AbGroup(2, (2, 12))
+        assert g == fresh and hash(g) == hash(fresh) == hash((2, (2, 12)))
+        assert repr(g) == repr(fresh) == "AbGroup(rank=2, factors=(2, 12))"
+        assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_a_rejected_input_is_not_kept(self, empty_rules):
+        for orders, rank in [([6, 0], 0), ([2], -1)]:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    normalize(orders, rank)
+        assert abelian._groups == {}
 
 
 class TestQueries:

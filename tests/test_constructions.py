@@ -433,6 +433,14 @@ class TestRuleTable:
         sphere(5)  # would pass the cap: only it is kept
         assert list(construct._rules) == [("S", 5)] and construct._size == rules_size() == 3
 
+    def test_emptying_the_table_empties_the_group_table(self, empty_rules, monkeypatch):
+        z3 = lens(3, 5).homology.group(1)  # 1 plus 4 degrees
+        assert z3 is cyclic(3)
+        monkeypatch.setattr(construct, "RULES_CAP", 5)
+        sphere(4)  # 1 plus 2 degrees would pass the cap
+        assert list(construct._rules) == [("S", 4)] and abelian._groups == {}
+        assert lens(3, 5).homology.group(1) == z3 is not cyclic(3)
+
     def test_a_batch_of_distinct_high_dimensional_lines_stays_within_the_cap(
         self, empty_rules, monkeypatch, capsys
     ):

@@ -8,10 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import spincalc
-from spincalc import cli, construct, dsl
+from spincalc import abelian, cli, construct, dsl
 from spincalc.construct import (
     CP,
     Bundle,
@@ -47,6 +47,10 @@ exprs = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+SPACED_LEAVES = [Sphere(3), CP(2), Surface(2), Lens(3, 3), DehnRHS(7), IHS3(), Bundle(1, -7)]
+SPACES = ["", " ", "  ", "\t", "\n", "\r\n"]
 
 
 class TestParse:
@@ -106,6 +110,10 @@ class TestParse:
             ("S(--1)", 1, 3, "unexpected character '-'"),
             ("L(3 5)", 1, 5, "expected ',', found '5'"),
             ("\u00e9", 1, 2, "expected '(', found 'end of input'"),  # a lone letter is a name
+            # of two errors, the one the parse meets first
+            ("csum(foo", 1, 9, "expected '(', found 'end of input'"),
+            # an unexpected character wins over any error of the parse
+            ("S(3)) $", 1, 7, "unexpected character '$'"),
         ],
     )
     def test_malformed_input(self, text, line, column, message):
@@ -117,6 +125,30 @@ class TestParse:
     @given(exprs)
     def test_round_trip(self, ast):
         assert parse(str(ast)) == ast
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_round_trip_with_any_whitespace_between_tokens(self, rnd):
+        ast = random_ast(rnd, SPACED_LEAVES, 5)
+        text = str(ast)
+        # every token boundary of a printed AST is at a parenthesis or a comma
+        spaced = re.sub(
+            r"[(),]", lambda m: rnd.choice(SPACES) + m.group() + rnd.choice(SPACES), text
+        )
+        assert parse(rnd.choice(SPACES) + spaced + rnd.choice(SPACES)) is parse(text)
+        assert parse(text) == ast
+
+    def test_a_deep_line_parses_without_recursion(self, empty_table):
+        depth = 10**4
+        text = "spin(1," * depth + "S(3)" + ")" * depth
+        ast = node = parse(text)
+        for _ in range(depth):
+            assert (type(node), node.r) == (Spin, 1)
+            node = node.child
+        assert node is parse("S(3)")
+        # ``text`` is what ``str(ast)`` prints, but the printer recurses once
+        # per level; spaced out, the text is parsed again, to the same node
+        assert parse(text.replace(",", ", ")) is ast
 
 
 class TestNodeTable:
@@ -146,7 +178,7 @@ def run_batch(command: str, text: str) -> subprocess.CompletedProcess:
     "command, depth", [("eval", 300), ("chirality", 900), ("degrees", 900), ("validate", 900)]
 )
 def test_deep_spin_chain_is_answered(command, depth):
-    """Parsing, printing and evaluating cost one Python frame per nesting level."""
+    """Printing and evaluating cost one Python frame per nesting level; parsing costs none."""
     result = run_batch(command, "spin(1," * depth + "S(3)" + ")" * depth + "\n")
     assert (result.returncode, result.stderr) == (0, "")
 
@@ -197,12 +229,10 @@ class TestEvaluate:
 
 
 @pytest.fixture
-def empty_table(monkeypatch):
-    """The process's hash-consing and rule tables, empty for this test and restored after it."""
+def empty_table(monkeypatch, empty_rules):
+    """The hash-consing, rule and group tables, empty for this test and restored after it."""
     for name in ("_nodes", "_lines"):
         monkeypatch.setattr(dsl, name, {})
-    monkeypatch.setattr(construct, "_rules", {})
-    monkeypatch.setattr(construct, "_size", 0)
 
 
 class TestMemo:
@@ -280,9 +310,25 @@ def run_commands(monkeypatch, capsys, batch: str, commands: list[list[str]]) -> 
 
 
 @pytest.mark.parametrize("argv", BATCH_COMMANDS, ids=" ".join)
-def test_batch_output_matches_the_reference_evaluator(argv, oracle_batch, monkeypatch, capsys):
-    """Stdout, stderr and exit code, generator ids included, as if nothing were kept."""
+def test_batch_output_matches_the_reference_evaluator(
+    argv, oracle_batch, empty_rules, monkeypatch, capsys
+):
+    """Stdout, stderr and exit code, generator ids included, as if nothing were kept.
+
+    Nothing kept: each line built afresh by the reference evaluator, or
+    evaluated with the rule and group tables emptied before it.
+    """
     [memoized] = run_commands(monkeypatch, capsys, oracle_batch, [argv])
+    real = cli.evaluate_text
+
+    def on_empty_tables(text, memo):
+        construct._rules.clear()
+        construct._size = 0
+        abelian._groups.clear()
+        return real(text, memo)
+
+    monkeypatch.setattr(cli, "evaluate_text", on_empty_tables)
+    assert run_commands(monkeypatch, capsys, oracle_batch, [argv]) == [memoized]
     monkeypatch.setattr(cli, "evaluate_text", lambda text, memo: reference_evaluate(parse(text)))
     assert run_commands(monkeypatch, capsys, oracle_batch, [argv]) == [memoized]
     assert memoized[2].count("error: line") > 100
@@ -365,6 +411,7 @@ def test_warm_tables_print_what_empty_ones_do(oracle_batch, monkeypatch, capsys)
     def memo_on_empty_rules():
         monkeypatch.setattr(construct, "_rules", {})
         monkeypatch.setattr(construct, "_size", 0)
+        monkeypatch.setattr(abelian, "_groups", {})
         return dsl.Memo()
 
     monkeypatch.setattr(cli, "Memo", memo_on_empty_rules)
