@@ -6,13 +6,13 @@ The normal form is canonical, so two groups are isomorphic exactly when
 their ``AbGroup`` values compare equal.
 
 The groups are hash-consed, as ``dsl`` does with AST nodes: one table
-for the process maps each input :func:`normalize` has seen, and each
-normal form, to one canonical group, which :func:`normalize`,
-:func:`free`, :func:`cyclic` and :meth:`AbGroup.with_rank` return.  So
-each distinct group is built, validated and printed once while the table
-holds it.  Equality still compares values, so the table may be emptied
-at any moment; ``construct`` empties it whenever it empties its own rule
-table, whose descriptors hold the groups made for them.
+for the process maps each normal form to one canonical group, which
+:func:`normalize`, :func:`free`, :func:`cyclic` and
+:meth:`AbGroup.with_rank` return.  So each distinct group is built,
+validated and printed once while the table holds it.  Equality still
+compares values, so the table may be emptied at any moment;
+``construct`` empties it whenever it empties its own rule table, whose
+descriptors hold the groups made for them.
 
 >>> normalize([4, 6])
 AbGroup(rank=0, factors=(2, 12))
@@ -43,15 +43,13 @@ class AbGroup(Value):
     """
 
     __match_args__ = ("rank", "factors")
-    # not fields, so equality, hashing and repr leave them out: _hash, the
-    # hash of the fields, and _text, the text ``str`` gives, or None until
-    # it is first asked for
-    __slots__ = (*__match_args__, "_hash", "_text")
+    # not a field, so equality, hashing and repr leave it out: _text, the
+    # text ``str`` gives, or None until it is first asked for
+    __slots__ = (*__match_args__, "_text")
 
     def __init__(self, rank: int, factors: tuple[int, ...] = ()) -> None:
         set_field(self, "rank", rank)
         set_field(self, "factors", factors)
-        set_field(self, "_hash", hash((rank, factors)))
         set_field(self, "_text", None)
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
@@ -73,7 +71,7 @@ class AbGroup(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.rank, self.factors))
 
     # -- structural queries -------------------------------------------------
 
@@ -132,10 +130,10 @@ class AbGroup(Value):
         return " + ".join(parts)
 
 
-# The group table of the process.  ``(rank, *orders)`` maps to the
-# canonical group of Z^rank plus those cyclic summands, for every input
-# ``normalize`` has accepted and for the normal form of every group in the
-# table, which is its own key.  Only inputs that passed every check enter.
+# The group table of the process: ``(rank, *factors)`` maps to the
+# canonical group of that rank and those invariant factors.  A key is a
+# normal form, never a raw input of ``normalize``, so the table's keys are
+# no larger than the groups it holds.
 _groups: dict[tuple, AbGroup] = {}
 
 
@@ -177,18 +175,13 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
 
     An insertion costs one gcd per factor it passes, and sorted input
     mostly stops at once: orders that already form a divisibility chain,
-    in any input order, cost no gcd at all.  An input seen before costs
-    one lookup in the group table.
+    in any input order, cost no gcd at all.
 
     >>> normalize([6, 10, 15])
     AbGroup(rank=0, factors=(30, 30))
     >>> normalize([10, 5, 5, 10])
     AbGroup(rank=0, factors=(5, 5, 10, 10))
     """
-    key = (rank, *cyclic_orders)
-    g = _groups.get(key)
-    if g is not None:
-        return g
     if rank < 0:
         raise ValueError(f"rank must be nonnegative, got {rank}")
     orders = sorted(cyclic_orders)
@@ -205,8 +198,7 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
             i -= 1
         if n > 1:
             chain.insert(i, n)
-    g = _groups[key] = _canonical(rank, tuple(chain))
-    return g
+    return _canonical(rank, tuple(chain))
 
 
 def kunneth_terms(a: AbGroup, b: AbGroup) -> tuple[int, list[int], list[int]]:

@@ -209,13 +209,24 @@ class TestCanonicalGroups:
         assert after == before and hash(after) == hash(before)
         assert str(after) == text == "Z^2 + Z_2 + Z_12"
 
-    def test_the_cached_text_and_hash_are_not_fields(self):
+    def test_the_cached_text_is_not_a_field(self):
         g = normalize([4, 6], 2)
         str(g)
         fresh = AbGroup(2, (2, 12))
         assert g == fresh and hash(g) == hash(fresh) == hash((2, (2, 12)))
         assert repr(g) == repr(fresh) == "AbGroup(rank=2, factors=(2, 12))"
         assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_a_product_of_coprime_sums_keeps_keys_no_larger_than_its_groups(self, empty_rules):
+        # H_1 = Z_3^64 and Z_5^64: degree 2 of the product gets 64 * 64 raw
+        # Kunneth orders, all gcds of 1, and its normal form is trivial
+        x, y = lens(3, 3), lens(5, 3)
+        for _ in range(6):
+            x, y = connected_sum(x, x), connected_sum(y, y)
+        h = product(x, y).homology
+        assert h.group(1) == normalize([15] * 64) and h.group(2) == TRIVIAL
+        assert all(key == (g.rank, *g.factors) for key, g in abelian._groups.items())
+        assert sum(map(len, abelian._groups)) <= sum(1 + len(g.factors) for g in abelian._groups.values())
 
     def test_a_rejected_input_is_not_kept(self, empty_rules):
         for orders, rank in [([6, 0], 0), ([2], -1)]:
