@@ -208,10 +208,13 @@ def kunneth_terms(a: AbGroup, b: AbGroup) -> tuple[int, list[int], list[int]]:
     r copies of each Z_n and s copies of each Z_m, plus Z_gcd(m, n) for
     every pair; Tor(a, b) is Z_gcd(m, n) for every pair, since free
     summands have no Tor.  The orders are raw cyclic orders, not yet
-    normalized; the pairwise gcds are computed once for both terms.
+    normalized; the pairwise gcds are computed once for both terms, and
+    a gcd of 1, a trivial summand, is left out of both.
 
     >>> kunneth_terms(normalize([4], 1), cyclic(6))
     (0, [6, 2], [2])
+    >>> kunneth_terms(cyclic(3), cyclic(5))
+    (0, [], [])
     """
-    gcds = [gcd(m, n) for m in a.factors for n in b.factors]
+    gcds = [g for m in a.factors for n in b.factors if (g := gcd(m, n)) > 1]
     return a.rank * b.rank, list(b.factors) * a.rank + list(a.factors) * b.rank + gcds, gcds

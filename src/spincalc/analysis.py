@@ -142,10 +142,12 @@ def _sphere_level(e: ConstructionExpr) -> int:
         return 4 if e.n == 1 else 1 if e.n == 2 else 0
     if isinstance(e, Surface):
         return 1
+    # a left operand that already decides the level leaves the right one unread
     if isinstance(e, Prod):
-        return 3 if min(_sphere_level(e.left), _sphere_level(e.right)) >= 3 else 0
+        return 3 if _sphere_level(e.left) >= 3 and _sphere_level(e.right) >= 3 else 0
     if isinstance(e, CSum):
-        return min(_sphere_level(e.left), _sphere_level(e.right), 2)
+        left = _sphere_level(e.left)
+        return min(left, _sphere_level(e.right), 2) if left else 0
     if isinstance(e, Spin):
         level = _sphere_level(e.child)
         if level == 4:
@@ -156,6 +158,18 @@ def _sphere_level(e: ConstructionExpr) -> int:
     return 0
 
 
+# the sets of the rules that do not depend on the expression, each built
+# and validated once; a DegreeSet is immutable, so every line shares one
+_SPIN_OF_CP = exact_set(ALL_INTEGERS, ("spin-of-complex-projective",))
+_SPHERE_PRODUCT_SUM = exact_set(ALL_INTEGERS, ("sphere-product-sum",))
+_HYPERBOLIC_SURFACE = exact_set(SIGNED_UNIT, ("hyperbolic-surface",))
+# nonzero degree forces an isometry up to homotopy; odd-order isometry
+# groups leave only the identity's degree
+_ODD_ISOMETRY = exact_set(NONNEGATIVE_UNIT, ("hyperbolic-odd-isometry",))
+_SIMPLICIAL_VOLUME = DegreeSet(upper_bound=SIGNED_UNIT, rules=("positive-simplicial-volume",))
+_NO_RULE = DegreeSet(rules=("no-rule-matched",))
+
+
 def degree_set(m: ManifoldDescriptor) -> DegreeSet:
     """Infer D(M) from the construction expression alone."""
     expr = m.expr
@@ -163,18 +177,16 @@ def degree_set(m: ManifoldDescriptor) -> DegreeSet:
     # the spin of CP^n as a whole has degree set Z, even though no rule
     # covers CP^{n-1} x S^{r+2}, its product form; this fires first
     if isinstance(expr, Spin) and isinstance(expr.child, CP) and expr.child.n >= 2:
-        return exact_set(ALL_INTEGERS, ("spin-of-complex-projective",))
+        return _SPIN_OF_CP
 
     if _sphere_level(expr) >= 2:
-        return exact_set(ALL_INTEGERS, ("sphere-product-sum",))
+        return _SPHERE_PRODUCT_SUM
     if isinstance(expr, Surface):
-        return exact_set(SIGNED_UNIT, ("hyperbolic-surface",))
+        return _HYPERBOLIC_SURFACE
     if isinstance(expr, CP) and expr.n >= 2:
         return exact_set(perfect_powers(expr.n), ("complex-projective",))
     if isinstance(expr, DehnRHS):
-        # nonzero degree forces an isometry up to homotopy; odd-order
-        # isometry groups leave only the identity's degree
-        return exact_set(NONNEGATIVE_UNIT, ("hyperbolic-odd-isometry",))
+        return _ODD_ISOMETRY
     if isinstance(expr, IHS3):
-        return DegreeSet(upper_bound=SIGNED_UNIT, rules=("positive-simplicial-volume",))
-    return DegreeSet(rules=("no-rule-matched",))
+        return _SIMPLICIAL_VOLUME
+    return _NO_RULE

@@ -25,6 +25,14 @@ from spincalc.construct import (
     Spin,
     Surface,
 )
+from spincalc.degrees import (
+    ALL_INTEGERS,
+    NONNEGATIVE_UNIT,
+    SIGNED_UNIT,
+    DegreeSet,
+    exact_set,
+    perfect_powers,
+)
 from spincalc.dsl import EXPR, KINDS, evaluate
 from spincalc.graded import GradedGroup
 from spincalc.manifold import Trivial
@@ -302,6 +310,29 @@ def is_sphere_product_sum(e: ConstructionExpr) -> bool:
     if isinstance(e, Spin):
         return is_sphere_product_sum(e.child)
     return _is_sphere_product(e)
+
+
+def reference_degree_set(m) -> DegreeSet:
+    """D(M) by the rules of ``analysis.degree_set``, every set built afresh.
+
+    The reference for its shared constants and its sphere levels: each
+    call builds and validates its set, and the sphere-product-sum rule
+    asks the rewrite instead of ``analysis._sphere_level``.
+    """
+    expr = m.expr
+    if isinstance(expr, Spin) and isinstance(expr.child, CP) and expr.child.n >= 2:
+        return exact_set(ALL_INTEGERS, ("spin-of-complex-projective",))
+    if is_sphere_product_sum(rewrite(expr)):
+        return exact_set(ALL_INTEGERS, ("sphere-product-sum",))
+    if isinstance(expr, Surface):
+        return exact_set(SIGNED_UNIT, ("hyperbolic-surface",))
+    if isinstance(expr, CP) and expr.n >= 2:
+        return exact_set(perfect_powers(expr.n), ("complex-projective",))
+    if isinstance(expr, DehnRHS):
+        return exact_set(NONNEGATIVE_UNIT, ("hyperbolic-odd-isometry",))
+    if isinstance(expr, IHS3):
+        return DegreeSet(upper_bound=SIGNED_UNIT, rules=("positive-simplicial-volume",))
+    return DegreeSet(rules=("no-rule-matched",))
 
 
 def all_asts(leaves: list[ConstructionExpr], depth: int) -> list[ConstructionExpr]:

@@ -22,6 +22,7 @@ from spincalc.analysis import (
 from spincalc.construct import (
     CP,
     DehnRHS,
+    IHS3,
     Lens,
     Sphere,
     Surface,
@@ -49,6 +50,7 @@ from helpers import (
     minus_one_square_euler,
     minus_one_square_scan,
     random_ast,
+    reference_degree_set,
     rewrite,
     thirteen_base_is_prime,
     trial_division_factorization,
@@ -376,6 +378,24 @@ class TestDegreeSets:
         m = dehn_rhs(7)
         other = ManifoldDescriptor(m.expr, 3, sphere(3).homology, Trivial())
         assert degree_set(other) == degree_set(m)
+
+    def test_every_ast_of_depth_two_gets_the_set_of_a_fresh_build(self):
+        h = sphere(3).homology
+        asts = all_asts(TestSphereLevel.LEAVES + [IHS3()], 2)
+        rules = set()
+        for e in asts:
+            m = ManifoldDescriptor(e, 3, h, Trivial())
+            ds = degree_set(m)
+            assert ds == reference_degree_set(m), str(e)
+            rules.update(ds.rules)
+        assert len(rules) == 7
+
+    @pytest.mark.parametrize(
+        "text", ["spin(2,CP(3))", "prod(S(2),S(3))", "Sigma(2)", "N(7)", "IHS3", "L(3,5)"]
+    )
+    def test_a_rule_that_ignores_the_expression_returns_one_shared_set(self, text):
+        m = evaluate_text(text)
+        assert degree_set(m) is degree_set(m)
 
     def test_exclusivity_on_samples(self):
         for m in (sphere(5), cp(2), surface(2), dehn_rhs(7), pipeline_main(1, 7)):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from spincalc import abelian, cli, construct
-from spincalc.abelian import Z, cyclic, normalize
+from spincalc.abelian import Z, cyclic, free, normalize
 from spincalc.construct import (
     CP,
     Lens,
@@ -348,6 +348,21 @@ class TestProduct:
         p = product(m, m)
         assert calls["kunneth_terms"] == len(m.homology.entries) ** 2
         assert calls["normalize"] <= p.dim + 1
+
+    def test_coprime_torsion_hands_normalize_no_trivial_order(self, empty_rules, monkeypatch):
+        """A gcd of 1 is a trivial summand: neither Kunneth term carries it."""
+        seen = []
+
+        def recorded(orders, rank=0, real=construct.normalize):
+            seen.extend(orders)
+            return real(orders, rank)
+
+        monkeypatch.setattr(construct, "normalize", recorded)
+        m = product(lens(3, 3), lens(5, 3))
+        assert seen and 1 not in seen
+        assert dict(m.homology.entries) == {
+            0: Z, 1: cyclic(15), 3: free(2), 4: cyclic(15), 6: Z,
+        }
 
     def test_euler_characteristic_multiplies(self):
         rng = random.Random(7)
