@@ -99,6 +99,11 @@ class AbGroup(Value):
     # -- arithmetic ---------------------------------------------------------
 
     def direct_sum(self, other: "AbGroup") -> "AbGroup":
+        # a side without torsion leaves the other's factors in normal form
+        if not other.factors:
+            return _canonical(self.rank + other.rank, self.factors)
+        if not self.factors:
+            return _canonical(self.rank + other.rank, other.factors)
         return normalize(self.factors + other.factors, self.rank + other.rank)
 
     # -- serialization ------------------------------------------------------

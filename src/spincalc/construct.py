@@ -19,7 +19,7 @@ from typing import ClassVar
 from . import abelian
 from ._value import Value, set_field
 from .abelian import Z, cyclic, free, kunneth_terms, normalize
-from .graded import GradedGroup, homology_from_cohomology
+from .graded import GradedGroup, drop_highest, drop_lowest, homology_from_cohomology
 from .manifold import (
     FiniteCyclic,
     FreeGroup,
@@ -149,8 +149,8 @@ class Prod(ConstructionExpr):
 # operand descriptors.  An entry is (descriptor, *operands): it holds its
 # operands, so no id in a live key can be reused.  Only a call that passed
 # every check enters its descriptor, so a hit stands for inputs that did.
-# ``_size`` counts, for each entry, 1 plus the nonzero homology degrees of
-# every descriptor it holds, which is what its memory grows with; an entry
+# ``_size`` counts, for each entry, 1 plus the homology runs of every
+# descriptor it holds, which is what its memory grows with; an entry
 # that would take the count past RULES_CAP empties the table first, and
 # with it the group table of ``abelian``, whose groups were made for the
 # descriptors held here.  Emptying either is safe at any moment, as every
@@ -163,7 +163,7 @@ _size = 0
 def _keep(key: tuple, *entry: ManifoldDescriptor) -> ManifoldDescriptor:
     """Enter ``entry``, the descriptor then its operands, under ``key``; return the descriptor."""
     global _size
-    size = 1 + sum([len(m.homology.entries) for m in entry])
+    size = 1 + sum([len(m.homology.runs) for m in entry])
     if _size + size > RULES_CAP:
         _rules.clear()
         abelian._groups.clear()
@@ -182,16 +182,17 @@ def sphere(n: int) -> ManifoldDescriptor:
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     pi1 = FreeGroup(1) if n == 1 else Trivial()
-    return _keep(("S", n), make_descriptor(Sphere(n), n, GradedGroup(n, ((0, Z), (n, Z))), pi1))
+    homology = GradedGroup(n, ((0, 1, 1, Z), (n, 1, 1, Z)))
+    return _keep(("S", n), make_descriptor(Sphere(n), n, homology, pi1))
 
 
 def cp(n: int) -> ManifoldDescriptor:
-    """Complex projective n-space: Z in every even degree up to 2n."""
+    """Complex projective n-space: Z in every even degree up to 2n, one run."""
     if hit := _rules.get(("CP", n)):
         return hit[0]
     if n < 1:
         raise ValueError(f"CP index must be >= 1, got {n}")
-    homology = GradedGroup(2 * n, tuple([(d, Z) for d in range(0, 2 * n + 1, 2)]))
+    homology = GradedGroup(2 * n, ((0, 2, n + 1, Z),))
     return _keep(("CP", n), make_descriptor(CP(n), 2 * n, homology, Trivial()))
 
 
@@ -200,20 +201,19 @@ def surface(genus: int) -> ManifoldDescriptor:
         return hit[0]
     if genus < 2:
         raise ValueError(f"surface genus must be >= 2, got {genus}")
-    homology = GradedGroup(2, ((0, Z), (1, free(2 * genus)), (2, Z)))
+    homology = GradedGroup(2, ((0, 1, 1, Z), (1, 1, 1, free(2 * genus)), (2, 1, 1, Z)))
     return _keep(("Sigma", genus), make_descriptor(Surface(genus), 2, homology, SurfaceGroup(genus)))
 
 
 def lens(p: int, dim: int) -> ManifoldDescriptor:
-    """Lens space S^dim / Z_p: Z_p torsion in every odd degree below the top."""
+    """Lens space S^dim / Z_p: Z_p torsion in every odd degree below the top, three runs."""
     if hit := _rules.get(("L", p, dim)):
         return hit[0]
     if p < 2:
         raise ValueError(f"lens order must be >= 2, got {p}")
     if dim < 3 or dim % 2 == 0:
         raise ValueError(f"lens dimension must be odd and >= 3, got {dim}")
-    torsion = cyclic(p)
-    homology = GradedGroup(dim, ((0, Z), *[(d, torsion) for d in range(1, dim - 1, 2)], (dim, Z)))
+    homology = GradedGroup(dim, ((0, 1, 1, Z), (1, 2, (dim - 1) // 2, cyclic(p)), (dim, 1, 1, Z)))
     return _keep(("L", p, dim), make_descriptor(Lens(p, dim), dim, homology, FiniteCyclic(p)))
 
 
@@ -228,7 +228,7 @@ def dehn_rhs(p: int) -> ManifoldDescriptor:
         return hit[0]
     if not is_prime(p):
         raise ValueError(f"Dehn-filling parameter must be prime, got {p}")
-    homology = GradedGroup(3, ((0, Z), (1, cyclic(2 * p)), (3, Z)))
+    homology = GradedGroup(3, ((0, 1, 1, Z), (1, 1, 1, cyclic(2 * p)), (3, 1, 1, Z)))
     return _keep(("N", p), make_descriptor(DehnRHS(p), 3, homology, HyperbolicThreeManifoldGroup()))
 
 
@@ -236,7 +236,7 @@ def ihs3() -> ManifoldDescriptor:
     """A closed hyperbolic integral homology 3-sphere (axiomatized)."""
     if hit := _rules.get(("IHS3",)):
         return hit[0]
-    homology = GradedGroup(3, ((0, Z), (3, Z)))
+    homology = GradedGroup(3, ((0, 1, 1, Z), (3, 1, 1, Z)))
     return _keep(("IHS3",), make_descriptor(IHS3(), 3, homology, HyperbolicThreeManifoldGroup()))
 
 
@@ -253,7 +253,8 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     if d == 0:
         raise ValueError("Euler multiple must be nonzero (use prod for the trivial bundle)")
     dim = 4 * m + 3
-    cohomology = GradedGroup(dim, ((0, Z), (2 * m + 2, cyclic(2 * abs(d))), (dim, Z)))
+    torsion = cyclic(2 * abs(d))
+    cohomology = GradedGroup(dim, ((0, 1, 1, Z), (2 * m + 2, 1, 1, torsion), (dim, 1, 1, Z)))
     pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
     homology = homology_from_cohomology(cohomology, dim)
     return _keep(("E", m, d), make_descriptor(Bundle(m, d), dim, homology, pi1))
@@ -266,7 +267,7 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     """The r-spin: boundary of (M minus an open disk) x D^{r+1}.
 
     Homology is punctured homology plus the r-shifted reduced homology,
-    cut from the validated entries, whose first and last are H_0 = H_n = Z;
+    cut from the validated runs, which hold H_0 = H_n = Z at their ends;
     pi_1 is preserved in dimension >= 3.  A surface of genus g follows
     the same homology rule, but its spin is the connected sum of 2g
     copies of S^{r+1} x S^1 (``analysis._sphere_level``), so pi_1 becomes the
@@ -282,8 +283,9 @@ def spin(r: int, m: ManifoldDescriptor) -> ManifoldDescriptor:
     if m.dim == 2 and not isinstance(pi1, Trivial):
         pi1 = FreeGroup(2 * _surface_genus(m))
     new_dim = m.dim + r
-    entries = m.homology.entries
-    homology = GradedGroup.from_sum(new_dim, entries[:-1], [(d + r, g) for d, g in entries[1:]])
+    runs = m.homology.runs
+    shifted = [(f + r, s, c, g) for f, s, c, g in drop_lowest(runs)]
+    homology = GradedGroup.from_sum(new_dim, drop_highest(runs), shifted)
     return _keep(("spin", r, id(m)), make_descriptor(Spin(r, m.expr), new_dim, homology, pi1), m)
 
 
@@ -304,7 +306,8 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     if a.dim < 3:
         raise ValueError(f"connected sum needs dimension >= 3, got {a.dim}")
     # H_0 and H_n stay Z; in between the groups add degreewise
-    homology = GradedGroup.from_sum(a.dim, a.homology.entries, b.homology.entries[1:-1])
+    inner = drop_lowest(drop_highest(b.homology.runs))
+    homology = GradedGroup.from_sum(a.dim, a.homology.runs, inner)
     m = make_descriptor(CSum(a.expr, b.expr), a.dim, homology, free_product(a.pi1, b.pi1))
     return _keep(("csum", id(a), id(b)), m, a, b)
 
@@ -334,14 +337,16 @@ def _kunneth(a: GradedGroup, b: GradedGroup, n: int) -> GradedGroup:
     """The integral Kunneth formula, up to top degree n.
 
     Only pairs of nonzero entries A = a_i, B = b_j contribute: A (x) B in
-    degree i+j and Tor(A, B) in i+j+1.  Each pair costs one
+    degree i+j and Tor(A, B) in i+j+1.  The runs of both operands are
+    listed degree by degree, and each pair costs one
     :func:`kunneth_terms` call, whose free rank and raw orders are added
     up per degree; each output degree is then normalized once.
     """
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
+    right = b.entries
     for i, g in a.entries:
-        for j, h in b.entries:
+        for j, h in right:
             rank, tensor, tor = kunneth_terms(g, h)
             ranks[i + j] = ranks.get(i + j, 0) + rank
             orders.setdefault(i + j, []).extend(tensor)

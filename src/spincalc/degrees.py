@@ -20,6 +20,10 @@ def _integer_nth_root(x: int, n: int) -> int:
         raise ValueError("x must be nonnegative")
     if x < 2:
         return x
+    if x.bit_length() <= n:
+        # 2 <= x < 2^n: the root lies in [1, 2), and the iteration below
+        # would raise its start to the power n - 1
+        return 1
     r = 1 << -(-x.bit_length() // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt, prod
 
 # Sorenson and Webster (2015): Miller-Rabin with the first 13 prime bases
 # is correct for every n below this bound, the least strong pseudoprime to
@@ -28,9 +29,19 @@ _MR_PREFIXES = tuple(
     )
 )
 
-# factorize trial-divides below this bound, then leaves the rest to rho.
+# factorize divides out the primes below this bound, then leaves the rest
+# to rho.  One gcd with their product shows which of them divide n.
 _TRIAL_BOUND = 1000
-_TRIAL_DIVISORS = (2, *range(3, _TRIAL_BOUND, 2))
+# the sieve of Eratosthenes: a composite below the bound has a factor
+# below the root of the bound
+_sieve = bytearray([1]) * _TRIAL_BOUND
+_sieve[:2] = b"\0\0"
+for _i in range(2, isqrt(_TRIAL_BOUND) + 1):
+    if _sieve[_i]:
+        _sieve[_i * _i :: _i] = bytes(len(range(_i * _i, _TRIAL_BOUND, _i)))
+_SMALL_PRIMES = tuple(compress(range(_TRIAL_BOUND), _sieve))
+_SMALL_PRIMES_PRODUCT = prod(_SMALL_PRIMES)
+del _sieve, _i
 # Pollard-Brent iterations one factorize call may spend.  A prime factor
 # near 10^12 takes about 1-4 million; past the budget factorize raises
 # instead of running on.
@@ -82,9 +93,10 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization, with every factor certified.
 
-    Trial division by 2 and the odd numbers below ``_TRIAL_BOUND`` comes
-    first; it leaves no prime factor below the bound, so a cofactor below
-    the bound's square is prime.  Each larger
+    The primes below ``_TRIAL_BOUND`` come first: one gcd of n with their
+    product shows which of them divide n, and only those are divided out,
+    in ascending order.  No prime factor below the bound is left, so a
+    cofactor below the bound's square is prime.  Each larger
     cofactor that ``is_prime`` rejects is split by Brent's variant of
     Pollard rho (Brent 1980).  Raises ValueError when a cofactor is only a
     probable prime (see ``is_prime``), or when splitting needs more than
@@ -96,12 +108,17 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
-    for d in _TRIAL_DIVISORS:
-        if d * d > n:
+    small = gcd(n, _SMALL_PRIMES_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if small == 1:
             break
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if small % p == 0:
+            small //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
     steps = _RHO_STEPS
     pending = [n] if n > 1 else []
     while pending:

@@ -11,7 +11,7 @@ import random
 from math import gcd, lcm, prod
 
 from spincalc import construct
-from spincalc.abelian import Z, normalize
+from spincalc.abelian import TRIVIAL, Z, cyclic, normalize
 from spincalc.construct import (
     CP,
     Bundle,
@@ -220,6 +220,88 @@ def minus_one_square_euler(q: int) -> bool:
     if not is_prime(q) or q == 2:
         raise ValueError(f"{q} is not an odd prime")
     return pow(q - 1, (q - 1) // 2, q) == 1
+
+
+# -- graded groups degree by degree, without runs ---------------------------------
+
+
+def expand_runs(runs) -> list[tuple[int, object]]:
+    """Runs ``(first, step, count, group)`` as dense ``(degree, group)`` entries."""
+    return [(f + k * s, g) for f, s, c, g in runs for k in range(c)]
+
+
+class DenseGraded:
+    """A graded group as a plain dict of its nonzero degrees, for the dense references."""
+
+    def __init__(self, top_degree: int, groups: dict) -> None:
+        self.top_degree, self.groups = top_degree, groups
+
+    def group(self, degree: int):
+        return self.groups.get(degree, TRIVIAL)
+
+
+def dense_homology(e: ConstructionExpr) -> tuple[int, dict]:
+    """(dimension, degree -> nonzero group) of an AST, one degree at a time.
+
+    The generators' closed forms; spin as punctured homology plus the
+    r-shifted reduced homology; csum as the degreewise sum of the inner
+    degrees; prod by ``kunneth_orders``.  Raises ValueError where the
+    dimensions of a combinator do not fit, as ``construct`` does.
+    """
+    if isinstance(e, Sphere):
+        return e.n, {0: Z, e.n: Z}
+    if isinstance(e, CP):
+        return 2 * e.n, {d: Z for d in range(0, 2 * e.n + 1, 2)}
+    if isinstance(e, Surface):
+        return 2, {0: Z, 1: normalize([], 2 * e.genus), 2: Z}
+    if isinstance(e, Lens):
+        return e.dim, {0: Z, e.dim: Z, **{d: cyclic(e.p) for d in range(1, e.dim - 1, 2)}}
+    if isinstance(e, DehnRHS):
+        return 3, {0: Z, 1: cyclic(2 * e.p), 3: Z}
+    if isinstance(e, IHS3):
+        return 3, {0: Z, 3: Z}
+    if isinstance(e, Bundle):
+        n = 4 * e.m + 3
+        return n, {0: Z, 2 * e.m + 1: cyclic(2 * abs(e.d)), n: Z}
+    if isinstance(e, Spin):
+        n, h = dense_homology(e.child)
+        if n < 2:
+            raise ValueError("cannot spin")
+        out = {d: g for d, g in h.items() if d < n}
+        for d, g in h.items():
+            if d > 0:
+                out[d + e.r] = out.get(d + e.r, TRIVIAL).direct_sum(g)
+        return n + e.r, out
+    if isinstance(e, CSum):
+        (n, a), (k, b) = dense_homology(e.left), dense_homology(e.right)
+        if n != k or n < 3:
+            raise ValueError("dimensions do not fit")
+        out = dict(a)
+        for d, g in b.items():
+            if 0 < d < n:
+                out[d] = out.get(d, TRIVIAL).direct_sum(g)
+        return n, out
+    if isinstance(e, Prod):
+        (n, a), (k, b) = dense_homology(e.left), dense_homology(e.right)
+        oa = {d: (g.rank, list(g.factors)) for d, g in a.items()}
+        ob = {d: (g.rank, list(g.factors)) for d, g in b.items()}
+        out = {}
+        for d in range(n + k + 1):
+            rank, orders = kunneth_orders(oa, ob, d)
+            if rank or orders:
+                out[d] = normalize(orders, rank)
+        return n + k, out
+    raise TypeError(e)
+
+
+def dense_uct(groups: dict, n: int) -> dict:
+    """Cohomology H^i = Z^rank(H_i) + Tor(H_{i-1}) of a dict of degrees, for 0 <= i <= n."""
+    out = {}
+    for i in range(n + 1):
+        g = normalize(groups.get(i - 1, TRIVIAL).factors, groups.get(i, TRIVIAL).rank)
+        if not g.is_trivial:
+            out[i] = g
+    return out
 
 
 def graded_as_orders(descriptor) -> dict[int, tuple[int, list[int]]]:

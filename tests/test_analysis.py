@@ -180,6 +180,20 @@ class TestFactorize:
         if max(ordered[-2], isqrt(ordered[-1])) < 10**5:
             assert factors == trial_division_factorization(n)
 
+    def test_the_primes_below_1000_come_from_one_gcd(self):
+        """Edge cases of dividing out the primes that a gcd with their product reveals."""
+        cases = [1, *(2**k for k in range(1, 70)), 997**2, 991 * 997, 997 * 1009, 991 * 1009 * 1013]
+        cases += [2 * 3 * 5 * 997 * 1009, 2**5 * 997**3 * 1019]
+        # 2pq near the semiprimes of the bignum benchmark: p < q of similar size
+        for target in (10**3, 4 * 10**4, 10**5, 10**8):
+            p = _next_prime(isqrt(target) * 7 // 10)
+            cases.append(2 * p * _next_prime(target // p))
+        for n in cases:
+            factors = factorize(n)
+            assert factors == trial_division_factorization(n), n
+            small = [p for p in factors if p < 1000]
+            assert list(factors)[: len(small)] == sorted(small), n
+
     def test_nineteen_digit_prime_cofactor(self):
         assert factorize(2 * 1000000000000000003) == {2: 1, 1000000000000000003: 1}
 

@@ -42,9 +42,9 @@ from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
 
 
 def rules_size() -> int:
-    """What ``construct._size`` should read: 1 plus the degrees of every descriptor, per entry."""
+    """What ``construct._size`` should read: 1 plus the homology runs of every descriptor, per entry."""
     return sum(
-        1 + sum(len(m.homology.entries) for m in entry) for entry in construct._rules.values()
+        1 + sum(len(m.homology.runs) for m in entry) for entry in construct._rules.values()
     )
 
 
@@ -421,15 +421,15 @@ class TestRuleTable:
     def test_an_entry_keeps_its_operands_alive(self, empty_rules):
         """No id in a key can name another object while its entry lives."""
         # descriptors that no rule made, so only the rule table can hold them
-        h = GradedGroup(5, ((0, Z), (1, cyclic(3)), (3, cyclic(3)), (5, Z)))
+        h = GradedGroup(5, ((0, 1, 1, Z), (1, 2, 2, cyclic(3)), (5, 1, 1, Z)))
         a = make_descriptor(Lens(3, 5), 5, h, FiniteCyclic(3))
-        b = make_descriptor(CP(1), 2, GradedGroup(2, ((0, Z), (2, Z))), Trivial())
+        b = make_descriptor(CP(1), 2, GradedGroup(2, ((0, 2, 2, Z),)), Trivial())
         del h
         spin(2, a), connected_sum(a, a), product(a, b)
         del a, b
         gc.collect()
         # objects made now would take the ids of any operand that died
-        h3 = GradedGroup(3, ((0, Z), (3, Z)))
+        h3 = GradedGroup(3, ((0, 1, 1, Z), (3, 1, 1, Z)))
         made = [make_descriptor(Sphere(3), 3, h3, Trivial()) for _ in range(1000)]
         assert len(construct._rules) == 3
         for key, (_, *operands) in construct._rules.items():
@@ -437,8 +437,8 @@ class TestRuleTable:
             assert not any(m is n for m in operands for n in made)
 
     def test_an_entry_past_the_cap_empties_the_table_first(self, empty_rules, monkeypatch):
-        s3, l5 = sphere(3), lens(3, 5)  # 1 plus 2 degrees, 1 plus 4 degrees
-        product(s3, l5)  # 1 plus the 7 degrees of the product and those of its operands
+        s3, l5 = sphere(3), lens(3, 5)  # 1 plus 2 runs, 1 plus 4 runs (one per degree)
+        product(s3, l5)  # 1 plus the 7 runs of the product and those of its operands
         keys = [("S", 3), ("L", 3, 5), ("prod", id(s3), id(l5))]
         assert list(construct._rules) == keys
         assert construct._size == rules_size() == 3 + 5 + (1 + 7 + 2 + 4)
@@ -449,31 +449,36 @@ class TestRuleTable:
         assert list(construct._rules) == [("S", 5)] and construct._size == rules_size() == 3
 
     def test_emptying_the_table_empties_the_group_table(self, empty_rules, monkeypatch):
-        z3 = lens(3, 5).homology.group(1)  # 1 plus 4 degrees
+        z3 = lens(3, 5).homology.group(1)  # 1 plus 4 runs
         assert z3 is cyclic(3)
         monkeypatch.setattr(construct, "RULES_CAP", 5)
-        sphere(4)  # 1 plus 2 degrees would pass the cap
+        sphere(4)  # 1 plus 2 runs would pass the cap
         assert list(construct._rules) == [("S", 4)] and abelian._groups == {}
         assert lens(3, 5).homology.group(1) == z3 is not cyclic(3)
 
     def test_a_batch_of_distinct_high_dimensional_lines_stays_within_the_cap(
         self, empty_rules, monkeypatch, capsys
     ):
-        """Lines of 10,001 nonzero degrees each: together twice the cap, never kept together."""
-        sizes = []
+        """Lines of about 25,000 runs each: together twice the cap, never kept together.
+
+        Z + Z_5 in the even degrees and Z_5 in the odd ones alternate, so
+        each degree of the sum is a run of its own.
+        """
+        sizes, units = [], []
         real = construct._keep
 
         def keep(key, *entry):
             kept = real(key, *entry)
             sizes.append(construct._size)
+            units.append(1 + sum(len(m.homology.runs) for m in entry))
             return kept
 
         monkeypatch.setattr(construct, "_keep", keep)
-        lines = [f"L(3,{n})" for n in range(20_001, 20_041, 2)]
+        lines = [f"csum(CP({n}),spin(1,L(5,{2 * n - 1})))" for n in range(12_500, 12_510)]
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
         assert cli.main(["eval", "-"]) == 0
         assert capsys.readouterr().out.count("homology H_i:") == len(lines)
-        assert len(sizes) == len(lines) and sum(1 + 10_001 for _ in lines) > 2 * construct.RULES_CAP
+        assert sum(units) > 2 * construct.RULES_CAP
         assert max(sizes) <= construct.RULES_CAP
         assert construct._size == rules_size()
 

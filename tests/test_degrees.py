@@ -31,6 +31,15 @@ class TestIntegerRoot:
         r = _integer_nth_root(x, n)
         assert r**n <= x < (r + 1) ** n
 
+    @given(st.integers(2, 2**64), st.integers(0, 10**12))
+    def test_a_root_of_exponent_past_the_bit_length_is_one(self, x, k):
+        """Answered at once: a start above the root is not raised to such an exponent."""
+        assert _integer_nth_root(x, x.bit_length() + k) == 1
+
+    def test_exponent_near_10_to_12(self):
+        bound = perfect_powers(10**12)
+        assert [d for d in range(-3, 4) if bound.contains(d)] == [0, 1]
+
 
 class TestDegreeSetInvariants:
     @pytest.mark.parametrize(

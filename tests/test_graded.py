@@ -36,7 +36,7 @@ class TestConstruction:
 
     def test_rejects_degree_above_top(self):
         with pytest.raises(ValueError):
-            GradedGroup(2, ((3, Z),))
+            GradedGroup(2, ((3, 1, 1, Z),))
 
     def test_equality_is_degreewise(self):
         assert GradedGroup.from_dict({3: Z, 2: TRIVIAL, 1: cyclic(14), 0: Z}, 3) == N7
@@ -45,16 +45,24 @@ class TestConstruction:
         "top, entries, message",
         [
             (-1, (), "top_degree must be nonnegative"),
-            (2, ((0, Z), (3, Z)), "degree 3 outside [0, 2]"),
-            (3, ((0, Z), (1, cyclic(2)), (1, Z)), "duplicate degree 1"),
-            (3, ((0, Z), (2, TRIVIAL)), "trivial group stored at degree 2"),
-            (3, ((2, Z), (0, Z)), "entries must be sorted by degree"),
-            # an order error comes last: every entry's own error goes first
-            (3, ((2, Z), (0, Z), (2, Z)), "duplicate degree 2"),
-            (6, ((1, Z), (5, Z), (2, Z), (5, Z)), "duplicate degree 5"),
-            (3, ((3, Z), (1, Z), (1, Z)), "duplicate degree 1"),
-            (3, ((2, Z), (0, Z), (1, TRIVIAL)), "trivial group stored at degree 1"),
-            (3, ((2, Z), (0, Z), (4, Z)), "degree 4 outside [0, 3]"),
+            (2, ((0, 1, 1, Z), (3, 1, 1, Z)), "degree 3 outside [0, 2]"),
+            (3, ((0, 1, 1, Z), (1, 1, 1, cyclic(2)), (1, 1, 1, Z)), "duplicate degree 1"),
+            (3, ((0, 1, 1, Z), (2, 1, 1, TRIVIAL)), "trivial group stored at degree 2"),
+            (3, ((2, 1, 1, Z), (0, 1, 1, Z)), "entries must be sorted by degree"),
+            # an order error comes last: every run's own error goes first
+            (3, ((2, 1, 1, Z), (0, 1, 1, Z), (2, 1, 1, Z)), "duplicate degree 2"),
+            (6, ((1, 1, 1, Z), (5, 1, 1, Z), (2, 1, 1, Z), (5, 1, 1, Z)), "duplicate degree 5"),
+            (3, ((3, 1, 1, Z), (1, 1, 1, Z), (1, 1, 1, Z)), "duplicate degree 1"),
+            (3, ((2, 1, 1, Z), (0, 1, 1, Z), (1, 1, 1, TRIVIAL)), "trivial group stored at degree 1"),
+            (3, ((2, 1, 1, Z), (0, 1, 1, Z), (4, 1, 1, Z)), "degree 4 outside [0, 3]"),
+            # the shape of a run: its step and count, its last degree, and
+            # whether it shares a degree with an earlier run or only starts inside it
+            (5, ((0, 3, 2, Z),), f"run {(0, 3, 2, Z)} needs step 1 or 2 and count >= 1"),
+            (5, ((0, 1, 0, Z),), f"run {(0, 1, 0, Z)} needs step 1 or 2 and count >= 1"),
+            (5, ((0, 1, 1, Z), (3, 0, 1, Z)), f"run {(3, 0, 1, Z)} needs step 1 or 2 and count >= 1"),
+            (5, ((0, 2, 4, Z),), "degree 6 outside [0, 5]"),
+            (9, ((0, 2, 4, Z), (4, 1, 2, Z)), "duplicate degree 4"),
+            (9, ((0, 2, 4, Z), (3, 2, 2, Z)), "entries must be sorted by degree"),
         ],
     )
     def test_error_messages_and_their_precedence(self, top, entries, message):
@@ -63,7 +71,7 @@ class TestConstruction:
         assert str(exc.value) == message
 
     def test_from_sum_adds_groups_where_degrees_meet(self):
-        g = GradedGroup.from_sum(4, ((0, Z), (2, cyclic(2))), ((2, cyclic(3)), (4, Z)))
+        g = GradedGroup.from_sum(4, ((0, 1, 1, Z), (2, 1, 1, cyclic(2))), ((2, 1, 1, cyclic(3)), (4, 1, 1, Z)))
         assert g == GradedGroup.from_dict({0: Z, 2: cyclic(6), 4: Z}, 4)
 
 
@@ -80,7 +88,7 @@ class TestShiftAndReduced:
 
     def test_shift_rejects_small_top(self):
         with pytest.raises(ValueError, match=r"^degree 7 outside \[0, 6\]$"):
-            GradedGroup.from_sum(6, (), [(d + 4, g) for d, g in N7.entries[1:]])
+            GradedGroup.from_sum(6, (), [(f + 4, s, c, g) for f, s, c, g in N7.runs[1:]])
 
     def test_reduced_drops_one_z_at_degree_zero(self):
         # H_0 = Z is not shifted: H_1 of the 1-spin is the punctured H_1 alone

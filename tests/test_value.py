@@ -42,14 +42,14 @@ from spincalc.manifold import (
     Violation,
 )
 
-S3 = GradedGroup(3, ((0, Z), (3, Z)))
+S3 = GradedGroup(3, ((0, 1, 1, Z), (3, 1, 1, Z)))
 
 # per value class, the arguments of two different values; field-less classes have one
 SAMPLES = {
     AbGroup: [(1, (2, 4)), (1, (2,))],
     UpperBound: [("perfect_powers", 3), ("perfect_powers", 5)],
     DegreeSet: [(), (frozenset({-1, 0, 1}), SIGNED_UNIT, True, ("surface",))],
-    GradedGroup: [(3, ((0, Z), (3, Z))), (4, ((0, Z), (4, Z)))],
+    GradedGroup: [(3, ((0, 1, 1, Z), (3, 1, 1, Z))), (4, ((0, 2, 3, Z),))],
     DualityReport: [(False, 1, "torsion"), (False, 2, "torsion")],
     Trivial: [()],
     FiniteCyclic: [(3,), (2,)],
