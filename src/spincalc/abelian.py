@@ -101,9 +101,9 @@ class AbGroup(Value):
     def direct_sum(self, other: "AbGroup") -> "AbGroup":
         # a side without torsion leaves the other's factors in normal form
         if not other.factors:
-            return _canonical(self.rank + other.rank, self.factors)
+            return self.with_rank(self.rank + other.rank)
         if not self.factors:
-            return _canonical(self.rank + other.rank, other.factors)
+            return other.with_rank(self.rank + other.rank)
         return normalize(self.factors + other.factors, self.rank + other.rank)
 
     # -- serialization ------------------------------------------------------

@@ -31,6 +31,9 @@ Run = tuple[int, int, int, AbGroup]
 # A group with at most this many nonzero degrees keeps one run per degree
 # and indexes them in a dict, so ``group`` is one dict lookup; so does a
 # larger one whose runs all have one degree.  Any other bisects its runs.
+# Joining the runs of small groups too costs the corpus benchmark 3 % of
+# its throughput; of 16, 64 and 256, 64 keeps both the throughput and the
+# tail latency of the high-dimensional benchmark best (CHANGES.md).
 _DICT_DEGREES = 64
 
 
@@ -127,7 +130,7 @@ class GradedGroup(Value):
         A group listed degree by degree gives a view of its dict, which
         copies nothing.
         """
-        if self._by_degree.__class__ is dict:
+        if isinstance(self._by_degree, dict):
             return self._by_degree.items()
         return tuple([(d, g) for f, s, c, g in self.runs for d in range(f, f + s * c, s)])
 
@@ -449,8 +452,9 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
             False, 0, f"H_0 = {h.group(0)}, H_{n} = {h.group(n)}; both must be Z"
         )
     by_degree = h._by_degree
-    if by_degree.__class__ is dict:
-        # a group listed degree by degree: two lookups per degree accept it
+    if isinstance(by_degree, dict):
+        # a group listed degree by degree: two lookups per degree accept it;
+        # without this walk and _uct's, the corpus benchmark ran 5 % slower
         get = by_degree.get
         for d, g in by_degree.items():
             if g.rank != get(n - d, TRIVIAL).rank or g.factors != get(n - d - 1, TRIVIAL).factors:
@@ -481,11 +485,12 @@ def _uct(h: GradedGroup, n: int, shift: int) -> list[Run]:
     so nothing is normalized.  A group of one run per degree is walked in
     the direction of the shift: each degree's free part lands in order and
     its torsion lands next, where only the free part of the degree that
-    follows can meet it.  Longer runs give two sequences of runs, the free
-    parts and the shifted torsion parts, added by one merge.
+    follows can meet it, which the corpus benchmark measures faster than
+    the merge.  Longer runs give two sequences of runs, the free parts and
+    the shifted torsion parts, added by one merge.
     """
     by_degree = h._by_degree
-    if by_degree.__class__ is dict:
+    if isinstance(by_degree, dict):
         out: list[Run] = []
         for d, e in by_degree.items() if shift > 0 else reversed(by_degree.items()):
             if d > n:

@@ -1,9 +1,13 @@
 import json
+import os
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spincalc
+from spincalc._value import set_field
 from spincalc.abelian import AbGroup, Z, cyclic, free, normalize, TRIVIAL
 from spincalc.construct import cp, dehn_rhs, ihs3, lens, sphere, spin
 from spincalc.dsl import evaluate_text
@@ -195,50 +199,100 @@ class TestDuality:
         assert (report.ok, report.failing_degree, report.message) == dense_duality_report(g, n)
 
     @pytest.mark.parametrize(
-        "build",
+        "build, other",
         [
-            lambda: sphere(10**6),
-            lambda: lens(7, 301),
-            lambda: cp(150),
-            lambda: spin(1200, dehn_rhs(7)),
+            (lambda: sphere(10**6), lambda: sphere(10**5)),
+            (lambda: lens(7, 301), lambda: lens(7, 3001)),
+            (lambda: cp(150), lambda: cp(1500)),
+            (lambda: spin(1200, dehn_rhs(7)), lambda: spin(120, dehn_rhs(7))),
         ],
         ids=["S(10^6)", "L(7,301)", "CP(150)", "spin(1200,N(7))"],
     )
-    def test_lookups_grow_with_entries_not_dimension(self, build, monkeypatch):
+    def test_lookups_grow_with_entries_not_dimension(self, build, other):
+        """Lookups into the degree index stay within the entries, and the lines
+        the check runs within the runs: the same shape at a tenth or ten times
+        the dimension runs exactly the same lines.
+        """
         m = build()
-        lookup = GradedGroup.group
-        calls = 0
-
-        def counting(self, degree):
-            nonlocal calls
-            calls += 1
-            return lookup(self, degree)
-
-        monkeypatch.setattr(GradedGroup, "group", counting)
-        assert check_poincare_duality(m.homology, m.dim)
-        # three candidate degrees per entry, three lookups per candidate,
-        # plus the H_0 and H_n check
-        assert calls <= 9 * len(m.homology.entries) + 2
+        h, index = _counting_index(m.homology)
+        report, lines = _lines_run(lambda: check_poincare_duality(h, m.dim))
+        assert report
+        assert index.calls <= 2 * len(m.homology.entries) + 2
+        assert lines <= 40 * len(h.runs) + 40
+        o = other()
+        assert o.homology.runs != m.homology.runs
+        assert _lines_run(lambda: check_poincare_duality(o.homology, o.dim)) == (report, lines)
 
     @pytest.mark.parametrize(
         "build",
         [lambda: spin(4, dehn_rhs(7)), lambda: lens(7, 301), lambda: cp(150)],
         ids=["spin(4,N(7))", "L(7,301)", "CP(150)"],
     )
-    def test_a_passing_check_looks_up_two_degrees_per_entry(self, build, monkeypatch):
+    def test_a_passing_check_looks_up_two_degrees_per_entry(self, build):
+        """At most; a group of long runs needs only H_0 and H_n, the rest is read
+        run by run.  A failing check adds the three degrees its message names.
+        """
         m = build()
-        lookup = GradedGroup.group
-        calls = 0
+        h, index = _counting_index(m.homology)
+        assert check_poincare_duality(h, m.dim)
+        listed = m.homology._by_degree.__class__ is dict
+        assert index.calls == (2 * len(h.entries) + 2 if listed else 2)
+        broken = GradedGroup.from_sum(m.dim, h.runs, ((1, 1, 1, cyclic(2)),))
+        broken, index = _counting_index(broken)
+        assert check_poincare_duality(broken, m.dim).failing_degree == 1
+        assert index.calls <= (2 * len(h.entries) + 2 if listed else 2) + 3
 
-        def counting(self, degree):
-            nonlocal calls
-            calls += 1
-            return lookup(self, degree)
 
-        monkeypatch.setattr(GradedGroup, "group", counting)
-        assert check_poincare_duality(m.homology, m.dim)
-        # H_{n-d} and H_{n-d-1} per entry d, plus the H_0 and H_n check
-        assert calls <= 2 * len(m.homology.entries) + 2
+class _CountingDict(dict):
+    """A dict index that counts its lookups."""
+
+    calls = 0
+
+    def get(self, degree, default=None):
+        self.calls += 1
+        return super().get(degree, default)
+
+
+class _CountingRuns:
+    """A run index that counts its lookups."""
+
+    def __init__(self, index):
+        self.index, self.calls = index, 0
+
+    def get(self, degree, default):
+        self.calls += 1
+        return self.index.get(degree, default)
+
+
+def _counting_index(h: GradedGroup):
+    """A copy of h whose lookups are counted; h itself, which a table may hold, is left alone."""
+    copy = GradedGroup(h.top_degree, h.runs)
+    index = copy._by_degree
+    index = _CountingDict(index) if isinstance(index, dict) else _CountingRuns(index)
+    set_field(copy, "_by_degree", index)
+    return copy, index
+
+
+def _lines_run(call):
+    """``call()`` and the number of lines of spincalc it ran."""
+    root = os.path.dirname(spincalc.__file__)
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 class TestUniversalCoefficients:
