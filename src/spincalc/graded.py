@@ -32,8 +32,9 @@ Run = tuple[int, int, int, AbGroup]
 # and indexes them in a dict, so ``group`` is one dict lookup; so does a
 # larger one whose runs all have one degree.  Any other bisects its runs.
 # Joining the runs of small groups too costs the corpus benchmark 3 % of
-# its throughput; of 16, 64 and 256, 64 keeps both the throughput and the
-# tail latency of the high-dimensional benchmark best (CHANGES.md).
+# its throughput.  16 raises the high-dimensional benchmark's throughput
+# but also its tail latency, and slows the corpus; 256 slows the first two
+# (CHANGES.md).
 _DICT_DEGREES = 64
 
 
@@ -454,7 +455,7 @@ def check_poincare_duality(h: GradedGroup, n: int) -> DualityReport:
     by_degree = h._by_degree
     if isinstance(by_degree, dict):
         # a group listed degree by degree: two lookups per degree accept it;
-        # without this walk and _uct's, the corpus benchmark ran 5 % slower
+        # without this walk and _uct's, the corpus benchmark ran 8 % slower
         get = by_degree.get
         for d, g in by_degree.items():
             if g.rank != get(n - d, TRIVIAL).rank or g.factors != get(n - d - 1, TRIVIAL).factors:
