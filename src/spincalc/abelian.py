@@ -18,9 +18,6 @@ descriptors hold the groups made for them.
 AbGroup(rank=0, factors=(2, 12))
 >>> print(normalize([4, 6]).direct_sum(free(1)))
 Z + Z_2 + Z_12
->>> rank, tensor, tor = kunneth_terms(cyclic(14), cyclic(14))
->>> normalize(tensor, rank), normalize(tor)
-(AbGroup(rank=0, factors=(14,)), AbGroup(rank=0, factors=(14,)))
 >>> normalize([6, 4]) is normalize([4, 6]) is normalize([12, 2])
 True
 
@@ -31,6 +28,7 @@ factor magnitudes are limited only by memory.
 from __future__ import annotations
 
 from math import gcd
+from operator import mod
 
 from ._value import Value, set_field
 
@@ -53,14 +51,16 @@ class AbGroup(Value):
         set_field(self, "_text", None)
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
-        for f in factors:
-            if f < 2:
-                raise ValueError(f"invariant factor {f} < 2")
-        for a, b in zip(factors, factors[1:]):
-            if b % a != 0:
-                raise ValueError(
-                    f"invariant factors must form a divisibility chain: {a} does not divide {b}"
-                )
+        # checked by builtins, so a long chain runs no loop here unless it is broken
+        if factors and (min(factors) < 2 or any(map(mod, factors[1:], factors))):
+            for f in factors:
+                if f < 2:
+                    raise ValueError(f"invariant factor {f} < 2")
+            for a, b in zip(factors, factors[1:]):
+                if b % a != 0:
+                    raise ValueError(
+                        f"invariant factors must form a divisibility chain: {a} does not divide {b}"
+                    )
 
     # equality and hashing written out: groups are compared and hashed on every op
     def __eq__(self, other: object) -> bool:
@@ -180,7 +180,8 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
 
     An insertion costs one gcd per factor it passes, and sorted input
     mostly stops at once: orders that already form a divisibility chain,
-    in any input order, cost no gcd at all.
+    in any input order, cost no gcd at all, and more than 16 of them are
+    taken as they are, with no loop over them.
 
     >>> normalize([6, 10, 15])
     AbGroup(rank=0, factors=(30, 30))
@@ -193,6 +194,10 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
     if orders and orders[0] <= 0:
         bad = next(n for n in cyclic_orders if n <= 0)
         raise ValueError(f"cyclic order must be positive, got {bad}")
+    if len(orders) > 16 and orders[0] > 1 and not any(map(mod, orders[1:], orders)):
+        # a long chain already, as a Kunneth degree's Z_p^k is: checked by
+        # builtins, so no loop runs over its orders
+        return _canonical(rank, tuple(orders))
     chain: list[int] = []
     for n in orders:
         i = len(chain)
@@ -204,22 +209,3 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
         if n > 1:
             chain.insert(i, n)
     return _canonical(rank, tuple(chain))
-
-
-def kunneth_terms(a: AbGroup, b: AbGroup) -> tuple[int, list[int], list[int]]:
-    """The Kunneth terms of a pair: (rank, tensor orders, Tor orders).
-
-    With a = Z^r + sum Z_m and b = Z^s + sum Z_n, a (x) b is Z^(rs), plus
-    r copies of each Z_n and s copies of each Z_m, plus Z_gcd(m, n) for
-    every pair; Tor(a, b) is Z_gcd(m, n) for every pair, since free
-    summands have no Tor.  The orders are raw cyclic orders, not yet
-    normalized; the pairwise gcds are computed once for both terms, and
-    a gcd of 1, a trivial summand, is left out of both.
-
-    >>> kunneth_terms(normalize([4], 1), cyclic(6))
-    (0, [6, 2], [2])
-    >>> kunneth_terms(cyclic(3), cyclic(5))
-    (0, [], [])
-    """
-    gcds = [g for m in a.factors for n in b.factors if (g := gcd(m, n)) > 1]
-    return a.rank * b.rank, list(b.factors) * a.rank + list(a.factors) * b.rank + gcds, gcds

@@ -14,11 +14,13 @@ that passed all of those checks.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import gcd
 from typing import ClassVar
 
 from . import abelian
 from ._value import Value, set_field
-from .abelian import Z, cyclic, free, kunneth_terms, normalize
+from .abelian import AbGroup, Z, cyclic, free, normalize
 from .graded import GradedGroup, drop_highest, drop_lowest, homology_from_cohomology
 from .manifold import (
     FiniteCyclic,
@@ -315,8 +317,9 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
 def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
     """Cartesian product; homology by the integral Kunneth formula.
 
-    See :func:`_kunneth`, which runs only when the rule table has no
-    product of these two descriptors.
+    See :func:`_kunneth`, which costs what the operands' torsion and runs
+    cost, not their pairs of degrees, and runs only when the rule table
+    has no product of these two descriptors.
 
     >>> print(product(lens(3, 3), lens(3, 3)).homology)
     Z, for i = 0, 6
@@ -336,24 +339,101 @@ def product(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
 def _kunneth(a: GradedGroup, b: GradedGroup, n: int) -> GradedGroup:
     """The integral Kunneth formula, up to top degree n.
 
-    Only pairs of nonzero entries A = a_i, B = b_j contribute: A (x) B in
-    degree i+j and Tor(A, B) in i+j+1.  The runs of both operands are
-    listed degree by degree, and each pair costs one
-    :func:`kunneth_terms` call, whose free rank and raw orders are added
-    up per degree; each output degree is then normalized once.
+    Only pairs of nonzero groups A = a_i, B = b_j contribute: A (x) B in
+    degree i+j and Tor(A, B) in i+j+1.  Free ranks add up as integers,
+    r*s per pair; the raw orders of :func:`_torsion_terms` are listed only
+    for a pair where a side has torsion, and only a degree that receives
+    some is normalized, once.  Every other degree is free.
+
+    Two groups listed degree by degree are walked a pair of degrees at a
+    time.  Otherwise the walk goes a pair of runs at a time: a pair adds
+    its terms at each degree as often as it has pairs of degrees that sum
+    to it, counted by :func:`_pair_counts`, so two long runs cost the sum
+    of their lengths, not their product.
     """
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
-    right = b.entries
-    for i, g in a.entries:
-        for j, h in right:
-            rank, tensor, tor = kunneth_terms(g, h)
-            ranks[i + j] = ranks.get(i + j, 0) + rank
-            orders.setdefault(i + j, []).extend(tensor)
-            if tor:
-                orders.setdefault(i + j + 1, []).extend(tor)
-    groups = {k: normalize(o, ranks.get(k, 0)) for k, o in orders.items()}
-    return GradedGroup.from_dict(groups, n)
+    if a.listed and b.listed:
+        right = [(j, h, h.rank, h.factors) for j, h in b.entries]
+        for i, g in a.entries:
+            r, m = g.rank, g.factors
+            for j, h, s, q in right:
+                if r and s:
+                    ranks[i + j] = ranks.get(i + j, 0) + r * s
+                if m or q:
+                    tensor, tor = _torsion_terms(g, h)
+                    if tensor:
+                        orders.setdefault(i + j, []).extend(tensor)
+                    if tor:
+                        orders.setdefault(i + j + 1, []).extend(tor)
+    else:
+        for f1, s1, c1, g in a.runs:
+            for f2, s2, c2, h in b.runs:
+                rs = g.rank * h.rank
+                tensor, tor = _torsion_terms(g, h) if g.factors or h.factors else ((), ())
+                k = f1 + f2
+                for t in _pair_counts(s1, c1, s2, c2):
+                    if t:
+                        if rs:
+                            ranks[k] = ranks.get(k, 0) + rs * t
+                        if tensor:
+                            orders.setdefault(k, []).extend(tensor * t)
+                        if tor:
+                            orders.setdefault(k + 1, []).extend(tor * t)
+                    k += 1
+    runs = []
+    for k in sorted(ranks.keys() | orders.keys()):
+        o = orders.get(k)
+        runs.append((k, 1, 1, free(ranks[k]) if o is None else normalize(o, ranks.get(k, 0))))
+    return GradedGroup(n, runs)
+
+
+def _torsion_terms(g: AbGroup, h: AbGroup) -> tuple[list[int], list[int]]:
+    """The raw torsion orders of g (x) h and of Tor(g, h).
+
+    With g = Z^r + sum Z_m and h = Z^s + sum Z_n, the torsion of g (x) h
+    is r copies of each Z_n, s copies of each Z_m, and Z_gcd(m, n) for
+    every pair; Tor(g, h) is Z_gcd(m, n) for every pair, since free
+    summands have no Tor.  A gcd of 1 is a trivial summand and is left
+    out of both.  Every factor of a divisibility chain divides its
+    largest, so when the two largest factors are coprime, every pair is.
+
+    >>> _torsion_terms(normalize([4], 1), cyclic(6))
+    ([6, 2], [2])
+    >>> _torsion_terms(cyclic(14), cyclic(14))
+    ([14], [14])
+    >>> _torsion_terms(cyclic(3), cyclic(5))
+    ([], [])
+    """
+    m, q = g.factors, h.factors
+    gcds = []
+    if m and q and gcd(m[-1], q[-1]) > 1:
+        gcds = [d for x in m for y in q if (d := gcd(x, y)) > 1]
+    return [*q * g.rank, *m * h.rank, *gcds], gcds
+
+
+def _pair_counts(s1: int, c1: int, s2: int, c2: int) -> list[int]:
+    """For u = 0, 1, ..., how many x < c1 and y < c2 make s1*x + s2*y = u.
+
+    A difference array: each x opens the progression s1*x + s2*y at
+    s1*x and closes it s2*c2 further on, and a running sum along each
+    residue mod s2 fills in the rest.  So it costs c1 plus the length of
+    the result, not c1*c2.
+
+    >>> _pair_counts(2, 3, 2, 2)
+    [1, 0, 2, 0, 2, 0, 1]
+    >>> _pair_counts(1, 3, 2, 2)
+    [1, 1, 2, 1, 1]
+    """
+    size = s1 * (c1 - 1) + s2 * (c2 - 1) + 1
+    counts = [0] * (size + s2)
+    for u in range(0, s1 * c1, s1):
+        counts[u] += 1
+        counts[u + s2 * c2] -= 1
+    for r in range(s2):
+        counts[r::s2] = accumulate(counts[r::s2])
+    del counts[size:]
+    return counts
 
 
 def iterated_spin(radii: list[int], m: ManifoldDescriptor) -> ManifoldDescriptor:

@@ -7,9 +7,12 @@ done directly on lists of cyclic orders.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from math import gcd, lcm, prod
 
+import spincalc
 from spincalc import construct
 from spincalc.abelian import TRIVIAL, Z, cyclic, normalize
 from spincalc.construct import (
@@ -78,6 +81,31 @@ def exchange_invariant_factors(cyclic_orders: list[int]) -> tuple[int, ...]:
             g = gcd(a[i], a[j])
             a[i], a[j] = g, a[i] // g * a[j]
     return tuple(n for n in a if n > 1)
+
+
+# -- work counted in lines -----------------------------------------------------
+
+
+def lines_run(call):
+    """``call()`` and the number of lines of spincalc it ran."""
+    root = os.path.dirname(spincalc.__file__)
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 # -- brute-force Kunneth expansion ---------------------------------------------

@@ -6,10 +6,11 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincalc import abelian
-from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, kunneth_terms, normalize
+from spincalc import abelian, construct
+from spincalc.abelian import AbGroup, TRIVIAL, Z, cyclic, free, normalize
 from spincalc.construct import bundle, connected_sum, lens, product, sphere
 from spincalc.dsl import evaluate_text
+from spincalc.graded import GradedGroup
 
 from helpers import exchange_invariant_factors, same_finite_group
 
@@ -38,6 +39,8 @@ class TestNormalize:
 
     def test_unit_orders_are_dropped(self):
         assert normalize([1, 1], 3) == AbGroup(3, ())
+        # also from a chain long enough to be taken as it is
+        assert normalize([1] * 17 + [9, 3] * 10) == AbGroup(0, (3,) * 10 + (9,) * 10)
 
     def test_squarefree_composite_is_already_invariant(self):
         assert normalize([14]) == AbGroup(0, (14,))
@@ -148,17 +151,25 @@ class TestDirectSum:
             assert prod(a.direct_sum(b).factors) == prod(a.factors) * prod(b.factors)
 
 
+def kunneth_of(a: AbGroup, b: AbGroup) -> tuple[AbGroup, AbGroup]:
+    """a (x) b and Tor(a, b): degrees 0 and 1 of the Kunneth formula for a and b, each in degree 0."""
+    def alone(g: AbGroup) -> GradedGroup:
+        return GradedGroup(0, () if g.is_trivial else ((0, 1, 1, g),))
+
+    h = construct._kunneth(alone(a), alone(b), 1)
+    return h.group(0), h.group(1)
+
+
 def tensor(a: AbGroup, b: AbGroup) -> AbGroup:
-    rank, orders, _ = kunneth_terms(a, b)
-    return normalize(orders, rank)
+    return kunneth_of(a, b)[0]
 
 
 def tor(a: AbGroup, b: AbGroup) -> AbGroup:
-    return normalize(kunneth_terms(a, b)[2])
+    return kunneth_of(a, b)[1]
 
 
 class TestTensorAndTor:
-    """The tensor and Tor terms of ``kunneth_terms``, normalized as ``construct.product`` does."""
+    """The tensor and Tor terms of ``construct._kunneth``, as ``construct.product`` applies them."""
 
     def test_z_is_tensor_unit(self):
         assert tensor(Z, cyclic(14)) == cyclic(14)

@@ -28,7 +28,7 @@ from spincalc.construct import (
     spin,
     surface,
 )
-from spincalc.dsl import evaluate_text
+from spincalc.dsl import evaluate, evaluate_text
 from spincalc.graded import GradedGroup, check_poincare_duality
 from spincalc.manifold import (
     FiniteCyclic,
@@ -38,7 +38,14 @@ from spincalc.manifold import (
     make_descriptor,
 )
 
-from helpers import corpus, graded_as_orders, kunneth_orders, same_finite_group
+from helpers import (
+    corpus,
+    graded_as_orders,
+    kunneth_orders,
+    lines_run,
+    random_expr,
+    same_finite_group,
+)
 
 
 def rules_size() -> int:
@@ -46,6 +53,22 @@ def rules_size() -> int:
     return sum(
         1 + sum(len(m.homology.runs) for m in entry) for entry in construct._rules.values()
     )
+
+
+def balanced_sum(m, copies: int):
+    """The connected sum of ``copies`` copies of m, a power of two, as a balanced tree."""
+    return m if copies == 1 else connected_sum(*[balanced_sum(m, copies // 2)] * 2)
+
+
+def product_nodes(e):
+    """Every ``prod`` node of an AST."""
+    stack, out = [e], []
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Prod):
+            out.append(e)
+        stack += [getattr(e, f) for f in e.__match_args__ if not isinstance(getattr(e, f), int)]
+    return out
 
 
 class TestSphere:
@@ -307,7 +330,7 @@ class TestProduct:
         m = product(sphere(2), sphere(3))
         assert dict(m.homology.entries) == {0: Z, 2: Z, 3: Z, 5: Z}
 
-    def test_against_brute_force_expansion(self):
+    def test_against_brute_force_expansion(self, empty_rules):
         rng = random.Random(5)
         pairs = [
             (dehn_rhs(7), bundle(1, 7)),
@@ -320,6 +343,21 @@ class TestProduct:
             (_, a), = corpus(rng.randint(0, 10**6), 1, 3)
             (_, b), = corpus(rng.randint(0, 10**6), 1, 3)
             pairs.append((a, b))
+        # long runs of step 2, and of step 1 in the spun CP(150), with each
+        # other, with a sphere and with groups listed degree by degree
+        runs = [cp(200), lens(3, 301), lens(5, 301), lens(15, 301), spin(1, cp(150)), sphere(100)]
+        pairs += [(x, y) for k, x in enumerate(runs) for y in runs[k:k + 2]]
+        pairs += [(lens(3, 7), cp(200)), (lens(15, 301), product(lens(5, 7), lens(3, 7)))]
+        # coprime chains: each degree's 4096 gcds are all 1
+        pairs.append((balanced_sum(lens(3, 3), 64), balanced_sum(lens(5, 3), 64)))
+        # every product of the seed-2024 corpus passes 0-2 that perfbench draws
+        nodes = set()
+        for seed in (2024, "2024/1", "2024/2"):
+            draw = random.Random(seed)
+            for _ in range(1000):
+                nodes.update(product_nodes(random_expr(draw, 5)))
+        assert len(nodes) > 500
+        pairs += [(evaluate(e.left), evaluate(e.right)) for e in nodes]
         for a, b in pairs:
             m = product(a, b)
             oa, ob = graded_as_orders(a), graded_as_orders(b)
@@ -330,24 +368,39 @@ class TestProduct:
                 assert same_finite_group(orders, list(g.factors)), (a.expr, b.expr, k)
 
     @pytest.mark.parametrize(
-        "make, n", [(sphere, 400), (cp, 150), (lambda n: lens(3, n), 101)],
-        ids=["sphere-400", "cp-150", "lens-3-101"],
+        "make, n",
+        [(sphere, 400), (cp, 150), (lambda n: lens(3, n), 101), (lambda n: lens(3, n), 301)],
+        ids=["sphere-400", "cp-150", "lens-3-101", "lens-3-301"],
     )
-    def test_one_tensor_and_one_tor_per_pair_of_nonzero_entries(
+    def test_normalizes_each_torsion_degree_once(
         self, empty_rules, monkeypatch, make, n
     ):
-        """One kunneth_terms call per pair of entries, one normalize per degree."""
+        """Each degree that receives torsion once; a torsion-free product not at all."""
         m = make(n)
-        calls = {"kunneth_terms": 0, "normalize": 0}
-        for name in calls:
-            def counted(*args, name=name, real=getattr(construct, name)):
-                calls[name] += 1
-                return real(*args)
+        calls = []
 
-            monkeypatch.setattr(construct, name, counted)
+        def counted(orders, rank=0, real=construct.normalize):
+            calls.append(rank)
+            return real(orders, rank)
+
+        monkeypatch.setattr(construct, "normalize", counted)
         p = product(m, m)
-        assert calls["kunneth_terms"] == len(m.homology.entries) ** 2
-        assert calls["normalize"] <= p.dim + 1
+        torsion = [d for d, g in p.homology.entries if g.factors]
+        assert len(calls) == len(torsion)
+        if not any(g.factors for _, g in m.homology.entries):
+            assert calls == [] and torsion == []
+
+    @pytest.mark.parametrize(
+        "make", [cp, lambda n: lens(3, n)], ids=["CP(n)", "L(3,n)"]
+    )
+    def test_a_product_of_long_runs_grows_with_its_degrees_not_their_pairs(
+        self, empty_rules, make
+    ):
+        """Ten times the dimension runs about ten times the lines, not a hundred."""
+        small, large = make(201), make(2011)
+        _, lines_small = lines_run(lambda: product(small, small))
+        _, lines_large = lines_run(lambda: product(large, large))
+        assert 5 * lines_small < lines_large < 15 * lines_small
 
     def test_coprime_torsion_hands_normalize_no_trivial_order(self, empty_rules, monkeypatch):
         """A gcd of 1 is a trivial summand: neither Kunneth term carries it."""
@@ -379,9 +432,9 @@ class TestRuleTable:
     def test_a_second_product_of_the_same_operands_computes_nothing(self, empty_rules, monkeypatch):
         a, b = lens(3, 7), cp(3)
         first = product(a, b)
-        calls = {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 0}
+        calls = {"_kunneth": 0, "normalize": 0, "make_descriptor": 0}
         for module, name in [
-            (construct, "kunneth_terms"), (construct, "normalize"), (abelian, "normalize"),
+            (construct, "_kunneth"), (construct, "normalize"), (abelian, "normalize"),
             (construct, "make_descriptor"),
         ]:
             def counted(*args, name=name, real=getattr(module, name)):
@@ -390,7 +443,7 @@ class TestRuleTable:
 
             monkeypatch.setattr(module, name, counted)
         second = product(a, b)
-        assert calls == {"kunneth_terms": 0, "normalize": 0, "make_descriptor": 0}
+        assert calls == {"_kunneth": 0, "normalize": 0, "make_descriptor": 0}
         assert second is first
 
     def test_a_second_dehn_filling_tests_no_primality(self, empty_rules, monkeypatch):

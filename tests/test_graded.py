@@ -1,12 +1,9 @@
 import json
-import os
-import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import spincalc
 from spincalc._value import set_field
 from spincalc.abelian import AbGroup, Z, cyclic, free, normalize, TRIVIAL
 from spincalc.construct import cp, dehn_rhs, ihs3, lens, sphere, spin
@@ -25,7 +22,7 @@ from spincalc.manifold import (
     homological_connectivity,
 )
 
-from helpers import corpus, dense_cohomology, dense_duality_report
+from helpers import corpus, dense_cohomology, dense_duality_report, lines_run
 
 N7 = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)  # rational homology 3-sphere
 DIM7 = GradedGroup.from_dict(
@@ -215,13 +212,13 @@ class TestDuality:
         """
         m = build()
         h, index = _counting_index(m.homology)
-        report, lines = _lines_run(lambda: check_poincare_duality(h, m.dim))
+        report, lines = lines_run(lambda: check_poincare_duality(h, m.dim))
         assert report
         assert index.calls <= 2 * len(m.homology.entries) + 2
         assert lines <= 40 * len(h.runs) + 40
         o = other()
         assert o.homology.runs != m.homology.runs
-        assert _lines_run(lambda: check_poincare_duality(o.homology, o.dim)) == (report, lines)
+        assert lines_run(lambda: check_poincare_duality(o.homology, o.dim)) == (report, lines)
 
     @pytest.mark.parametrize(
         "build",
@@ -271,28 +268,6 @@ def _counting_index(h: GradedGroup):
     index = _CountingDict(index) if isinstance(index, dict) else _CountingRuns(index)
     set_field(copy, "_by_degree", index)
     return copy, index
-
-
-def _lines_run(call):
-    """``call()`` and the number of lines of spincalc it ran."""
-    root = os.path.dirname(spincalc.__file__)
-    lines = 0
-
-    def local(frame, event, arg):
-        nonlocal lines
-        lines += event == "line"
-        return local
-
-    def scope(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(root) else None
-
-    previous = sys.gettrace()
-    sys.settrace(scope)
-    try:
-        result = call()
-    finally:
-        sys.settrace(previous)
-    return result, lines
 
 
 class TestUniversalCoefficients:
