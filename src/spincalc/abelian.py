@@ -53,14 +53,12 @@ class AbGroup(Value):
             raise ValueError(f"rank must be nonnegative, got {rank}")
         # checked by builtins, so a long chain runs no loop here unless it is broken
         if factors and (min(factors) < 2 or any(map(mod, factors[1:], factors))):
-            for f in factors:
-                if f < 2:
-                    raise ValueError(f"invariant factor {f} < 2")
-            for a, b in zip(factors, factors[1:]):
-                if b % a != 0:
-                    raise ValueError(
-                        f"invariant factors must form a divisibility chain: {a} does not divide {b}"
-                    )
+            if min(factors) < 2:
+                raise ValueError(f"invariant factor {next(f for f in factors if f < 2)} < 2")
+            a, b = next((a, b) for a, b in zip(factors, factors[1:]) if b % a)
+            raise ValueError(
+                f"invariant factors must form a divisibility chain: {a} does not divide {b}"
+            )
 
     # equality and hashing written out: groups are compared and hashed on every op
     def __eq__(self, other: object) -> bool:
@@ -179,9 +177,9 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
     exponent into the sorted exponents of the chain.
 
     An insertion costs one gcd per factor it passes, and sorted input
-    mostly stops at once: orders that already form a divisibility chain,
-    in any input order, cost no gcd at all, and more than 16 of them are
-    taken as they are, with no loop over them.
+    mostly stops at once.  Orders that already form a divisibility chain,
+    in any input order, are taken as they are: checked by builtins, they
+    cost no gcd and no loop over them.
 
     >>> normalize([6, 10, 15])
     AbGroup(rank=0, factors=(30, 30))
@@ -194,9 +192,8 @@ def normalize(cyclic_orders: list[int] | tuple[int, ...], rank: int = 0) -> AbGr
     if orders and orders[0] <= 0:
         bad = next(n for n in cyclic_orders if n <= 0)
         raise ValueError(f"cyclic order must be positive, got {bad}")
-    if len(orders) > 16 and orders[0] > 1 and not any(map(mod, orders[1:], orders)):
-        # a long chain already, as a Kunneth degree's Z_p^k is: checked by
-        # builtins, so no loop runs over its orders
+    if orders and orders[0] > 1 and not any(map(mod, orders[1:], orders)):
+        # a chain already, as a Kunneth degree's Z_p^k is
         return _canonical(rank, tuple(orders))
     chain: list[int] = []
     for n in orders:

@@ -345,42 +345,29 @@ def _kunneth(a: GradedGroup, b: GradedGroup, n: int) -> GradedGroup:
     for a pair where a side has torsion, and only a degree that receives
     some is normalized, once.  Every other degree is free.
 
-    Two groups listed degree by degree are walked a pair of degrees at a
-    time.  Otherwise the walk goes a pair of runs at a time: a pair adds
-    its terms at each degree as often as it has pairs of degrees that sum
-    to it, counted by :func:`_pair_counts`, so two long runs cost the sum
-    of their lengths, not their product.
+    The walk goes a pair of runs at a time: a pair adds its terms at each
+    degree as often as it has pairs of degrees that sum to it, counted by
+    :func:`_pair_counts`, so two long runs cost the sum of their lengths,
+    not their product.  Two one-degree runs, all a small group has, meet
+    once, at the sum of their degrees.
     """
     ranks: dict[int, int] = {}
     orders: dict[int, list[int]] = {}
-    if a.listed and b.listed:
-        right = [(j, h, h.rank, h.factors) for j, h in b.entries]
-        for i, g in a.entries:
-            r, m = g.rank, g.factors
-            for j, h, s, q in right:
-                if r and s:
-                    ranks[i + j] = ranks.get(i + j, 0) + r * s
-                if m or q:
-                    tensor, tor = _torsion_terms(g, h)
+    for f1, s1, c1, g in a.runs:
+        r, m = g.rank, g.factors
+        for f2, s2, c2, h in b.runs:
+            rs = r * h.rank
+            tensor, tor = _torsion_terms(g, h) if m or h.factors else ((), ())
+            k = f1 + f2
+            for t in (1,) if c1 == 1 == c2 else _pair_counts(s1, c1, s2, c2):
+                if t:
+                    if rs:
+                        ranks[k] = ranks.get(k, 0) + rs * t
                     if tensor:
-                        orders.setdefault(i + j, []).extend(tensor)
+                        orders.setdefault(k, []).extend(tensor * t)
                     if tor:
-                        orders.setdefault(i + j + 1, []).extend(tor)
-    else:
-        for f1, s1, c1, g in a.runs:
-            for f2, s2, c2, h in b.runs:
-                rs = g.rank * h.rank
-                tensor, tor = _torsion_terms(g, h) if g.factors or h.factors else ((), ())
-                k = f1 + f2
-                for t in _pair_counts(s1, c1, s2, c2):
-                    if t:
-                        if rs:
-                            ranks[k] = ranks.get(k, 0) + rs * t
-                        if tensor:
-                            orders.setdefault(k, []).extend(tensor * t)
-                        if tor:
-                            orders.setdefault(k + 1, []).extend(tor * t)
-                    k += 1
+                        orders.setdefault(k + 1, []).extend(tor * t)
+                k += 1
     runs = []
     for k in sorted(ranks.keys() | orders.keys()):
         o = orders.get(k)

@@ -71,57 +71,50 @@ class GradedGroup(Value):
         """
         if top_degree < 0:
             raise ValueError("top_degree must be nonnegative")
+        # every degree of a group of few runs, but not those of its long runs;
+        # a group of more runs lists none here, and is joined below
+        few = len(runs) <= _DICT_DEGREES
+        by_degree: dict[int, AbGroup] = {}
+        unlisted = 0
+        plain = True  # whether every run is (degree, 1, 1, group)
         end = -1
-        if len(runs) > _DICT_DEGREES:
-            # too many degrees for one run each: checked here, joined below
-            degrees = 0
-            for f, s, c, g in runs:
-                if f <= end or not (g.rank or g.factors) or c < 1 or s != 1 and s != 2:
-                    _reject(top_degree, runs)
-                end = f + s * (c - 1)
-                degrees += c
-            if end > top_degree:
+        for f, s, c, g in runs:
+            if f <= end or not (g.rank or g.factors):
                 _reject(top_degree, runs)
-        else:
-            # every degree while there are few; those of long runs are left out
-            by_degree: dict[int, AbGroup] = {}
-            unlisted = 0
-            plain = True  # whether every run is (degree, 1, 1, group)
-            for f, s, c, g in runs:
-                if f <= end or not (g.rank or g.factors):
-                    _reject(top_degree, runs)
-                if c == 1:
+            if c == 1:
+                if few:
                     by_degree[f] = g
-                    end = f
-                    if s != 1:
-                        if s != 2:
-                            _reject(top_degree, runs)
-                        plain = False
-                    continue
-                if c < 1 or s != 1 and s != 2:
-                    _reject(top_degree, runs)
-                plain = False
-                end = f + s * (c - 1)
-                if len(by_degree) + c <= _DICT_DEGREES:
-                    for d in range(f, end + 1, s):
-                        by_degree[d] = g
                 else:
-                    unlisted += c
-            if end > top_degree:
+                    unlisted += 1
+                end = f
+                if s != 1:
+                    if s != 2:
+                        _reject(top_degree, runs)
+                    plain = False
+                continue
+            if c < 1 or s != 1 and s != 2:
                 _reject(top_degree, runs)
-            if not unlisted and len(by_degree) <= _DICT_DEGREES:
-                # few degrees: one run for each
-                if not plain:
-                    runs = [(d, 1, 1, g) for d, g in by_degree.items()]
-                set_field(self, "top_degree", top_degree)
-                set_field(self, "runs", tuple(runs))
-                set_field(self, "_by_degree", by_degree)
-                return
-            degrees = unlisted + len(by_degree)
+            plain = False
+            end = f + s * (c - 1)
+            if few and len(by_degree) + c <= _DICT_DEGREES:
+                for d in range(f, end + 1, s):
+                    by_degree[d] = g
+            else:
+                unlisted += c
+        if end > top_degree:
+            _reject(top_degree, runs)
         set_field(self, "top_degree", top_degree)
+        if not unlisted and len(by_degree) <= _DICT_DEGREES:
+            # few degrees: one run for each
+            if not plain:
+                runs = [(d, 1, 1, g) for d, g in by_degree.items()]
+            set_field(self, "runs", tuple(runs))
+            set_field(self, "_by_degree", by_degree)
+            return
         out = _joined(runs)
         set_field(self, "runs", out)
         # listed only if no run joined another
+        degrees = unlisted + len(by_degree)
         index = {r[0]: r[3] for r in out} if len(out) == degrees else _RunIndex(out)
         set_field(self, "_by_degree", index)
 
@@ -147,11 +140,6 @@ class GradedGroup(Value):
         if isinstance(self._by_degree, dict):
             return self._by_degree.items()
         return tuple([(d, g) for f, s, c, g in self.runs for d in range(f, f + s * c, s)])
-
-    @property
-    def listed(self) -> bool:
-        """Whether every run is one degree, so that ``entries`` copies nothing."""
-        return isinstance(self._by_degree, dict)
 
     def group(self, degree: int) -> AbGroup:
         return self._by_degree.get(degree, TRIVIAL)

@@ -39,7 +39,7 @@ class TestNormalize:
 
     def test_unit_orders_are_dropped(self):
         assert normalize([1, 1], 3) == AbGroup(3, ())
-        # also from a chain long enough to be taken as it is
+        # also where the other orders already form a chain, which is taken as it is
         assert normalize([1] * 17 + [9, 3] * 10) == AbGroup(0, (3,) * 10 + (9,) * 10)
 
     def test_squarefree_composite_is_already_invariant(self):
@@ -114,10 +114,15 @@ class TestConstructor:
     def test_rejects_broken_divisibility_chain(self):
         with pytest.raises(ValueError):
             AbGroup(0, (4, 6))
+        with pytest.raises(ValueError, match=r"chain: 4 does not divide 6$"):
+            AbGroup(0, (2, 4, 6, 12, 5))
 
     def test_rejects_factor_below_two(self):
         with pytest.raises(ValueError):
             AbGroup(0, (1, 2))
+        # named before a broken chain
+        with pytest.raises(ValueError, match=r"^invariant factor 1 < 2$"):
+            AbGroup(0, (4, 6, 1, 0))
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,17 @@ def test_a_group_of_few_degrees_keeps_one_run_per_degree():
     assert evaluate_text("CP(64)").homology.runs == ((0, 2, 65, Z),)
 
 
+def test_a_group_of_many_runs_lists_its_degrees_only_if_no_run_joins_another():
+    alternating = [(d, 1, 1, Z if d % 2 else cyclic(2)) for d in range(100)]
+    mixed = alternating + [(100, 1, 50, cyclic(3))]
+    for runs, listed in [(alternating, True), (mixed, False)]:
+        h = GradedGroup(200, runs)
+        assert h.runs == tuple(runs)
+        assert (h._by_degree.__class__ is dict) is listed
+        expected = {d: g for f, s, c, g in runs for d in range(f, f + s * c, s)}
+        assert [h.group(d) for d in range(201)] == [expected.get(d, TRIVIAL) for d in range(201)]
+
+
 # -- dimensions near 10^12 -----------------------------------------------------
 
 HUGE = [
