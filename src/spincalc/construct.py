@@ -21,7 +21,7 @@ from typing import ClassVar
 from . import abelian
 from ._value import Value, set_field
 from .abelian import AbGroup, Z, cyclic, free, normalize
-from .graded import GradedGroup, drop_highest, drop_lowest, homology_from_cohomology
+from .graded import GradedGroup, drop_highest, drop_lowest
 from .manifold import (
     FiniteCyclic,
     FreeGroup,
@@ -243,10 +243,10 @@ def ihs3() -> ManifoldDescriptor:
 
 
 def bundle(m: int, d: int) -> ManifoldDescriptor:
-    """Sphere bundle S^{2m+1} -> E -> S^{2m+2} with Euler number 2d.
+    """Sphere bundle S^{2m+1} -> E -> S^{2m+2} with Euler number 2d; dimension 4m+3.
 
-    The Gysin sequence leaves a single torsion group Z_{2|d|} in
-    cohomology degree 2m+2; dimension is 4m+3.
+    Gysin puts the one torsion group Z_{2|d|} in cohomology degree 2m+2;
+    universal coefficients move it to homology degree 2m+1.
     """
     if hit := _rules.get(("E", m, d)):
         return hit[0]
@@ -255,10 +255,9 @@ def bundle(m: int, d: int) -> ManifoldDescriptor:
     if d == 0:
         raise ValueError("Euler multiple must be nonzero (use prod for the trivial bundle)")
     dim = 4 * m + 3
-    torsion = cyclic(2 * abs(d))
-    cohomology = GradedGroup(dim, ((0, 1, 1, Z), (2 * m + 2, 1, 1, torsion), (dim, 1, 1, Z)))
-    pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(2 * abs(d))
-    homology = homology_from_cohomology(cohomology, dim)
+    order = 2 * abs(d)
+    homology = GradedGroup(dim, ((0, 1, 1, Z), (2 * m + 1, 1, 1, cyclic(order)), (dim, 1, 1, Z)))
+    pi1: Trivial | FiniteCyclic = Trivial() if m >= 1 else FiniteCyclic(order)
     return _keep(("E", m, d), make_descriptor(Bundle(m, d), dim, homology, pi1))
 
 

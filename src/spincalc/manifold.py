@@ -180,7 +180,7 @@ class ManifoldDescriptor(Value):
         return homological_connectivity(self.homology, self.pi1)
 
     def cohomology(self) -> GradedGroup:
-        return cohomology_from_homology(self.homology, self.dim)
+        return cohomology_from_homology(self.homology)
 
     def to_json(self) -> dict:
         return {

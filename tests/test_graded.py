@@ -2,17 +2,15 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spincalc._value import set_field
 from spincalc.abelian import AbGroup, Z, cyclic, free, normalize, TRIVIAL
 from spincalc.construct import cp, dehn_rhs, ihs3, lens, sphere, spin
-from spincalc.dsl import evaluate_text
 from spincalc.graded import (
     GradedGroup,
     check_poincare_duality,
     cohomology_from_homology,
-    homology_from_cohomology,
 )
 from spincalc.manifold import (
     InvalidDescriptor,
@@ -27,6 +25,10 @@ from helpers import corpus, dense_cohomology, dense_duality_report, lines_run
 N7 = GradedGroup.from_dict({0: Z, 1: cyclic(14), 3: Z}, 3)  # rational homology 3-sphere
 DIM7 = GradedGroup.from_dict(
     {0: Z, 1: cyclic(14), 3: cyclic(14), 5: cyclic(14), 7: Z}, 7
+)
+# 151 nonzero degrees, more than 64, so its runs are joined: Z_3 + Z in pairs of degrees
+LONG_RUNS = GradedGroup.from_dict(
+    {d: cyclic(3).direct_sum(Z) if d % 3 else Z for d in range(0, 151)}, 150
 )
 
 
@@ -272,53 +274,46 @@ def _counting_index(h: GradedGroup):
 
 class TestUniversalCoefficients:
     def test_rhs3_cohomology(self):
-        assert dict(cohomology_from_homology(N7, 3).entries) == {0: Z, 2: cyclic(14), 3: Z}
+        assert dict(cohomology_from_homology(N7).entries) == {0: Z, 2: cyclic(14), 3: Z}
 
     def test_dim7_cohomology(self):
-        c = cohomology_from_homology(DIM7, 7)
+        c = cohomology_from_homology(DIM7)
         assert dict(c.entries) == {0: Z, 2: cyclic(14), 4: cyclic(14), 6: cyclic(14), 7: Z}
 
     def test_torsion_free_grading_unchanged(self):
         torus_like = GradedGroup.from_dict({0: Z, 1: free(2), 2: Z}, 2)
-        assert cohomology_from_homology(torus_like, 2) == torus_like
+        assert cohomology_from_homology(torus_like) == torus_like
 
-    def test_bundle_cohomology_to_homology(self):
-        c = GradedGroup.from_dict({0: Z, 4: cyclic(14), 7: Z}, 7)
-        h = homology_from_cohomology(c, 7)
-        assert dict(h.entries) == {0: Z, 3: cyclic(14), 7: Z}
-
-    def test_torsion_free_cohomology_unchanged(self):
-        c = GradedGroup.from_dict({0: Z, 2: Z, 5: Z, 7: Z}, 7)
-        assert homology_from_cohomology(c, 7) == c
-
-    def test_round_trip(self):
-        # the 1000-expression corpus gets the same check in acceptance criterion 6
-        cases = [(N7, 3), (DIM7, 7)]
-        for text in ("S(20000)", "L(7,301)", "csum(N(1000003),N(1000033))"):
-            m = evaluate_text(text)
-            cases.append((m.homology, m.dim))
-        for h, n in cases:
-            assert homology_from_cohomology(cohomology_from_homology(h, n), n) == h, n
+    def test_rejects_torsion_in_the_top_degree(self):
+        """Tor H_top would land in H^{top+1}; no closed oriented manifold has it."""
+        listed = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: free(1).direct_sum(cyclic(2))}, 3)
+        long_run = GradedGroup.from_dict({0: Z, **{d: cyclic(3) for d in range(1, 101)}}, 100)
+        point = GradedGroup.from_dict({0: cyclic(2)}, 0)
+        assert isinstance(listed._by_degree, dict)
+        assert not isinstance(long_run._by_degree, dict)
+        for h in (listed, long_run, point):
+            with pytest.raises(ValueError, match=rf"^degree {h.top_degree + 1} outside"):
+                cohomology_from_homology(h)
 
     @staticmethod
-    def check_against_dense_reference(h, n):
-        c = cohomology_from_homology(h, n)
-        assert c == dense_cohomology(h, n)
-        if h.group(0).factors and n >= 1:
-            # Tor H_0 lands in H^1, which has no homological preimage
+    def check_against_dense_reference(h):
+        """h's cohomology against the dense reference, or refused for torsion in the top degree."""
+        if h.group(h.top_degree).factors:
             with pytest.raises(ValueError):
-                homology_from_cohomology(c, n)
+                cohomology_from_homology(h)
         else:
-            assert dense_cohomology(homology_from_cohomology(c, n), n) == c
+            assert cohomology_from_homology(h) == dense_cohomology(h, h.top_degree)
 
     @settings(max_examples=400, deadline=None)
     @given(graded_and_dimension())
+    @example((LONG_RUNS, 150))
     def test_one_pass_matches_dense_reference(self, case):
-        self.check_against_dense_reference(*case)
+        h, _ = case
+        self.check_against_dense_reference(h)
 
     def test_corpus_matches_dense_reference(self):
         for _, m in corpus(2024, 1000):
-            self.check_against_dense_reference(m.homology, m.dim)
+            self.check_against_dense_reference(m.homology)
 
     @pytest.mark.parametrize(
         "build, hashes, text",
@@ -346,18 +341,13 @@ class TestUniversalCoefficients:
 
         monkeypatch.setattr(AbGroup, "__init__", counting_init)
         monkeypatch.setattr(AbGroup, "__hash__", counting_hash)
-        c = cohomology_from_homology(m.homology, m.dim)
+        c = cohomology_from_homology(m.homology)
         assert counts["init"] == 0
         # one hash per run of one group object in adjacent entries
         assert str(m.homology) == text + "\n0, otherwise"
         assert counts["hash"] <= hashes
         monkeypatch.undo()
         assert c == dense_cohomology(m.homology, m.dim)
-
-    def test_rejects_low_degree_cohomology_torsion(self):
-        c = GradedGroup.from_dict({0: Z, 1: cyclic(3), 3: Z}, 3)
-        with pytest.raises(ValueError):
-            homology_from_cohomology(c, 3)
 
 
 class TestSerialization:

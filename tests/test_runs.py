@@ -14,12 +14,7 @@ from spincalc import cli
 from spincalc.abelian import TRIVIAL, Z, cyclic
 from spincalc.construct import CP, Bundle, DehnRHS, Lens, Prod, Sphere, Surface
 from spincalc.dsl import evaluate, evaluate_text
-from spincalc.graded import (
-    GradedGroup,
-    check_poincare_duality,
-    cohomology_from_homology,
-    homology_from_cohomology,
-)
+from spincalc.graded import GradedGroup, check_poincare_duality
 
 from helpers import (
     DenseGraded,
@@ -178,16 +173,3 @@ def test_sums_and_spins_of_long_runs_keep_a_handful_of_runs():
         assert len(h.runs) <= 6, text
         assert check_poincare_duality(h, h.top_degree)
     assert evaluate_text("CP(1000000000000)").homology.euler_characteristic() == 1000000000001
-
-
-def test_the_conversions_of_long_runs_cut_at_the_dimension_asked_for():
-    """Degrees past n, and torsion shifted past n, are left out as degree by degree."""
-    groups = {d: cyclic(3).direct_sum(Z) if d % 3 else Z for d in range(0, 151)}
-    h = GradedGroup.from_dict(groups, 150)
-    assert any(c > 1 for _, _, c, _ in h.runs)
-    for n in (150, 149, 100, 77, 0):
-        kept = {d: g for d, g in groups.items() if d <= n}
-        assert dict(expand_runs(cohomology_from_homology(h, n).runs)) == dense_uct(kept, n), n
-    c = GradedGroup.from_dict({0: Z, **{d: cyclic(5) for d in range(2, 121)}}, 120)
-    expected = {0: Z, **{d: cyclic(5) for d in range(1, 120)}}
-    assert dict(expand_runs(homology_from_cohomology(c, 120).runs)) == expected
