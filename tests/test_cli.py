@@ -152,6 +152,14 @@ class TestEval:
         assert "Z_14" in out
         assert "violations:    none" in out
 
+    def test_a_bundle_shows_its_torsion_one_degree_apart(self, capsys):
+        """E(2,-5): Z_10 in homology degree 5 and in cohomology degree 6."""
+        status, out, _ = run(capsys, "eval", "E(2,-5)")
+        assert status == 0
+        homology, cohomology = out.split("homology H_i:\n")[1].split("cohomology H^i:\n")
+        assert homology == "  Z, for i = 0, 11\n  Z_10, for i = 5\n  0, otherwise\n"
+        assert cohomology.startswith("  Z, for i = 0, 11\n  Z_10, for i = 6\n  0, otherwise\n")
+
     def test_json_report(self, capsys):
         status, out, _ = run(capsys, "eval", "csum(E(1,7), spin(4, N(7)))", "--json")
         assert status == 0

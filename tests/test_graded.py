@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from spincalc._value import set_field
 from spincalc.abelian import AbGroup, Z, cyclic, free, normalize, TRIVIAL
 from spincalc.construct import cp, dehn_rhs, ihs3, lens, sphere, spin
+from spincalc.dsl import evaluate_text
 from spincalc.graded import (
     GradedGroup,
     check_poincare_duality,
@@ -283,6 +284,21 @@ class TestUniversalCoefficients:
     def test_torsion_free_grading_unchanged(self):
         torus_like = GradedGroup.from_dict({0: Z, 1: free(2), 2: Z}, 2)
         assert cohomology_from_homology(torus_like) == torus_like
+
+    def test_torsion_free_long_runs_unchanged(self):
+        """Free runs are taken over as they are, not cut into degrees."""
+        for text in ("CP(1000)", "prod(CP(40),S(81))", "csum(CP(1000),spin(2,CP(999)))"):
+            h = evaluate_text(text).homology
+            assert not isinstance(h._by_degree, dict), text
+            assert cohomology_from_homology(h).runs == h.runs, text
+
+    def test_expressions_match_dense_reference(self):
+        # the 1000-expression corpus gets the same check in acceptance criterion 6
+        cases = [N7, DIM7]
+        for text in ("S(20000)", "L(7,301)", "csum(N(1000003),N(1000033))", "E(2,-5)"):
+            cases.append(evaluate_text(text).homology)
+        for h in cases:
+            self.check_against_dense_reference(h)
 
     def test_rejects_torsion_in_the_top_degree(self):
         """Tor H_top would land in H^{top+1}; no closed oriented manifold has it."""

@@ -14,7 +14,7 @@ from spincalc import cli
 from spincalc.abelian import TRIVIAL, Z, cyclic
 from spincalc.construct import CP, Bundle, DehnRHS, Lens, Prod, Sphere, Surface
 from spincalc.dsl import evaluate, evaluate_text
-from spincalc.graded import GradedGroup, check_poincare_duality
+from spincalc.graded import GradedGroup, check_poincare_duality, cohomology_from_homology
 
 from helpers import (
     DenseGraded,
@@ -173,3 +173,18 @@ def test_sums_and_spins_of_long_runs_keep_a_handful_of_runs():
         assert len(h.runs) <= 6, text
         assert check_poincare_duality(h, h.top_degree)
     assert evaluate_text("CP(1000000000000)").homology.euler_characteristic() == 1000000000001
+
+
+def test_the_conversion_of_long_runs_matches_degree_by_degree():
+    """Free and torsion parts of long runs land where the degree-by-degree formula puts them."""
+    cases = [
+        ({d: cyclic(3).direct_sum(Z) if d % 3 else Z for d in range(0, 151)}, 150),
+        ({0: Z, **{d: cyclic(5) for d in range(1, 120)}, 120: Z}, 120),
+        ({0: Z, **{d: cyclic(4).direct_sum(Z).direct_sum(Z) for d in range(1, 100)}, 100: Z}, 100),
+    ]
+    for groups, n in cases:
+        h = GradedGroup.from_dict(groups, n)
+        assert any(c > 1 for _, _, c, _ in h.runs), n
+        c = cohomology_from_homology(h)
+        assert dict(expand_runs(c.runs)) == dense_uct(groups, n), n
+        assert len(c.runs) <= len(h.runs) + 2, n
